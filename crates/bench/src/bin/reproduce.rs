@@ -340,20 +340,16 @@ fn run_ablations(opts: &Options) {
         let fs = std::sync::Arc::new(ffs::Ffs::format_in_memory(FsConfig::small()));
         let service = std::sync::Arc::new(cfs::CfsService::passthrough(fs, 1));
         let (ce, se) = Link::loopback(&clock);
+        let server_key = SigningKey::from_seed(&[9; 32]);
+        let engine = nfsv2::Engine::start(service, server_key, nfsv2::EngineConfig::default());
         let remote = if secure {
-            let server_key = SigningKey::from_seed(&[9; 32]);
+            engine.accept(se);
             let client_key = SigningKey::from_seed(&[8; 32]);
-            let service = service.clone();
-            std::thread::spawn(move || {
-                let mut rng = DetRng::new(2);
-                let chan = ipsec::ike::respond(se, &server_key, &mut rng).unwrap();
-                nfsv2::server::serve_connection(service, Box::new(chan));
-            });
             let mut rng = DetRng::new(1);
             let chan = ipsec::ike::initiate(ce, &client_key, None, &mut rng).unwrap();
             nfsv2::RemoteFs::mount(nfsv2::NfsClient::new(Box::new(chan)), "/").unwrap()
         } else {
-            nfsv2::server::spawn(service, Box::new(ipsec::PlainChannel::new(se)));
+            engine.accept_channel(Box::new(ipsec::PlainChannel::new(se)));
             nfsv2::RemoteFs::mount(
                 nfsv2::NfsClient::new(Box::new(ipsec::PlainChannel::new(ce))),
                 "/",

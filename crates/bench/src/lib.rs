@@ -26,7 +26,7 @@ use discfs_crypto::ed25519::SigningKey;
 use ffs::{Ffs, FsConfig, Ino, SetAttr, StoreBackend};
 use ipsec::PlainChannel;
 use netsim::{Link, LinkConfig, SimClock};
-use nfsv2::{FHandle, NfsClient, RemoteFs, Sattr};
+use nfsv2::{Engine, EngineConfig, FHandle, NfsClient, RemoteFs, Sattr};
 
 // ---------------------------------------------------------------------------
 // FFS adapter (the "local file system" series).
@@ -421,6 +421,9 @@ pub struct World {
     pub clock: SimClock,
     /// Kept alive: the testbed (DisCFS) if any.
     _bed: Option<Testbed>,
+    /// Kept alive: the engine serving CFS-NE, if any. Dropping the
+    /// world joins its threads.
+    _engine: Option<Engine>,
 }
 
 /// Builds a world for `kind` with the given volume geometry and cache
@@ -439,10 +442,6 @@ pub fn build_world(kind: SystemKind, fs_config: FsConfig, cache_size: usize) -> 
 /// reboot cycles: build a world, populate, sync, drop it, and build
 /// again on the same directory to run against the surviving files.
 /// Use [`SystemKind::Ffs`] for that pattern — it is fully in-process.
-/// The networked kinds spawn detached server threads that can outlive
-/// a dropped [`World`] and still hold the old store briefly; for a
-/// server reboot over the network stack use `discfs::Testbed::reboot`,
-/// which joins its connection threads before reopening the volume.
 pub fn build_world_on(
     kind: SystemKind,
     fs_config: FsConfig,
@@ -460,6 +459,7 @@ pub fn build_world_on(
                 fs: Box::new(FfsBench::new(fs)),
                 clock,
                 _bed: None,
+                _engine: None,
             }
         }
         SystemKind::CfsNe => {
@@ -470,13 +470,16 @@ pub fn build_world_on(
             );
             let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
             let (client_end, server_end) = Link::pair(&clock, LinkConfig::ethernet_100mbps());
-            nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+            let key = SigningKey::from_seed(&[0xCF; 32]);
+            let engine = Engine::start(service, key, EngineConfig::default());
+            engine.accept_channel(Box::new(PlainChannel::new(server_end)));
             let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
             let remote = RemoteFs::mount(client, "/").expect("mount CFS-NE");
             World {
                 fs: Box::new(RemoteBench::new(remote)),
                 clock,
                 _bed: None,
+                _engine: Some(engine),
             }
         }
         SystemKind::Discfs => {
@@ -501,6 +504,7 @@ pub fn build_world_on(
                 fs: Box::new(DiscfsBench::new(client)),
                 clock,
                 _bed: Some(bed),
+                _engine: None,
             }
         }
     }

@@ -20,16 +20,19 @@
 //! ```
 //! use std::sync::Arc;
 //! use cfs::{CfsCipher, CfsService};
+//! use discfs_crypto::ed25519::SigningKey;
 //! use ffs::{Ffs, FsConfig};
 //! use ipsec::PlainChannel;
 //! use netsim::{Link, SimClock};
-//! use nfsv2::{NfsClient, RemoteFs};
+//! use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
 //!
 //! let clock = SimClock::new();
 //! let (client_end, server_end) = Link::loopback(&clock);
 //! let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
 //! let service = Arc::new(CfsService::encrypting(fs, 1, CfsCipher::new(&[7; 32])));
-//! nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+//! let key = SigningKey::from_seed(&[2; 32]);
+//! let engine = Engine::start(service, key, EngineConfig::default());
+//! engine.accept_channel(Box::new(PlainChannel::new(server_end)));
 //!
 //! let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
 //! let remote = RemoteFs::mount(client, "/").unwrap();

@@ -204,12 +204,13 @@ impl NfsService for CfsService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use discfs_crypto::ed25519::SigningKey;
     use ffs::FsConfig;
     use ipsec::PlainChannel;
     use netsim::{Link, SimClock};
-    use nfsv2::{NfsClient, RemoteFs};
+    use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
 
-    fn setup(cipher: Option<CfsCipher>) -> (RemoteFs, Arc<Ffs>) {
+    fn setup(cipher: Option<CfsCipher>) -> (RemoteFs, Arc<Ffs>, Engine) {
         let clock = SimClock::new();
         let (client_end, server_end) = Link::loopback(&clock);
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
@@ -217,14 +218,16 @@ mod tests {
             Some(c) => CfsService::encrypting(fs.clone(), 1, c),
             None => CfsService::passthrough(fs.clone(), 1),
         });
-        nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+        let key = SigningKey::from_seed(&[2; 32]);
+        let engine = Engine::start(service, key, EngineConfig::default());
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
         let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
-        (RemoteFs::mount(client, "/").unwrap(), fs)
+        (RemoteFs::mount(client, "/").unwrap(), fs, engine)
     }
 
     #[test]
     fn passthrough_stores_plaintext() {
-        let (remote, fs) = setup(None);
+        let (remote, fs, _engine) = setup(None);
         remote.write_file("plain.txt", b"visible bytes").unwrap();
         let ino = fs.lookup(fs.root(), "plain.txt").unwrap();
         assert_eq!(fs.read(ino, 0, 100).unwrap(), b"visible bytes");
@@ -232,7 +235,7 @@ mod tests {
 
     #[test]
     fn encrypting_stores_ciphertext() {
-        let (remote, fs) = setup(Some(CfsCipher::new(&[7; 32])));
+        let (remote, fs, _engine) = setup(Some(CfsCipher::new(&[7; 32])));
         remote.write_file("secret.txt", b"hidden bytes!").unwrap();
 
         // The client sees plaintext.
@@ -257,7 +260,7 @@ mod tests {
 
     #[test]
     fn random_access_through_encryption() {
-        let (remote, _) = setup(Some(CfsCipher::new(&[8; 32])));
+        let (remote, _, _engine) = setup(Some(CfsCipher::new(&[8; 32])));
         let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let fh = remote.write_file("big.bin", &payload).unwrap();
         // Unaligned mid-file read.
@@ -273,7 +276,7 @@ mod tests {
 
     #[test]
     fn directories_and_dot_entries() {
-        let (remote, _) = setup(Some(CfsCipher::new(&[9; 32])));
+        let (remote, _, _engine) = setup(Some(CfsCipher::new(&[9; 32])));
         remote.mkdir_path("projects").unwrap();
         remote
             .write_file("projects/paper.tex", b"\\begin{document}")
@@ -298,7 +301,9 @@ mod tests {
         let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
         let cipher = CfsCipher::new(&[10; 32]);
         let service = Arc::new(CfsService::encrypting(fs.clone(), 1, cipher.clone()));
-        nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+        let key = SigningKey::from_seed(&[2; 32]);
+        let engine = Engine::start(service, key, EngineConfig::default());
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
         let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
         let remote = RemoteFs::mount(client, "/").unwrap();
         remote.mkdir_path("exported").unwrap();
@@ -310,7 +315,7 @@ mod tests {
 
     #[test]
     fn symlink_targets_encrypted() {
-        let (remote, fs) = setup(Some(CfsCipher::new(&[11; 32])));
+        let (remote, fs, _engine) = setup(Some(CfsCipher::new(&[11; 32])));
         remote
             .client()
             .symlink(&remote.root(), "ln", "target-name", &Sattr::unchanged())
@@ -339,7 +344,9 @@ mod tests {
                 1,
                 CfsCipher::new(&[1; 32]),
             ));
-            nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+            let key = SigningKey::from_seed(&[2; 32]);
+            let engine = Engine::start(service, key, EngineConfig::default());
+            engine.accept_channel(Box::new(PlainChannel::new(server_end)));
             let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
             let remote = RemoteFs::mount(client, "/").unwrap();
             remote.write_file("doc.txt", b"plaintext body").unwrap();
@@ -350,7 +357,9 @@ mod tests {
             1,
             CfsCipher::new(&[2; 32]),
         ));
-        nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+        let key = SigningKey::from_seed(&[2; 32]);
+        let engine = Engine::start(service, key, EngineConfig::default());
+        engine.accept_channel(Box::new(PlainChannel::new(server_end)));
         let client = NfsClient::new(Box::new(PlainChannel::new(client_end)));
         let remote = RemoteFs::mount(client, "/").unwrap();
         // The name does not decrypt under key B: shown in stored form.

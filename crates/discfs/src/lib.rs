@@ -78,10 +78,9 @@
 //! # Request engine
 //!
 //! The connection layer in front of that decision path is the
-//! event-driven engine of `nfsv2::engine` (PR 7). The paper's testbed
-//! model — one synchronous server thread per connection — cannot reach
-//! the client populations the hot path was built for, so the engine
-//! multiplexes every session onto a **fixed** pool:
+//! event-driven engine of `nfsv2::engine`, the same server the CFS-NE
+//! baseline runs on. It multiplexes every session onto a **fixed**
+//! pool:
 //!
 //! * **Threading model** — exactly `workers + 1` server threads
 //!   regardless of connection count: one readiness loop polling the

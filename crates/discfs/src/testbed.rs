@@ -5,11 +5,10 @@
 //! Examples, integration tests and the benchmark harness all build
 //! their worlds through this module so the topology stays consistent.
 //!
-//! Since the engine migration the server side is **not**
-//! thread-per-connection: every accepted endpoint — including its IKE
-//! responder handshake — is multiplexed onto one [`nfsv2::Engine`]
-//! with a fixed worker pool. A testbed serving 10 000 clients still
-//! runs `workers + 1` server threads.
+//! Every accepted endpoint — including its IKE responder handshake —
+//! is multiplexed onto one [`nfsv2::Engine`] with a fixed worker pool.
+//! A testbed serving 10 000 clients still runs `workers + 1` server
+//! threads.
 
 use std::sync::Arc;
 

@@ -1,18 +1,9 @@
 //! Block-device layer: re-exports of the pluggable [`store`]
-//! subsystem.
-//!
-//! The simulated timing-model disk that used to live here (`MemDisk`)
-//! moved behind the [`store::BlockStore`] trait as
-//! [`store::SimStore`]; this module keeps the historical names alive
-//! so existing call sites (`MemDisk::untimed`,
-//! `DiskModel::quantum_fireball_ct10`, `BLOCK_SIZE`) keep compiling.
-//! New code should select a backend through [`store::StoreBackend`]
-//! and [`crate::Ffs::format_backend`].
+//! subsystem. A volume's backend is selected through
+//! [`store::StoreBackend`] and [`crate::Ffs::format_backend`], or
+//! handed over as any [`store::BlockStore`] to [`crate::Ffs::format_on`].
 
 pub use store::{
-    zero_block, BlockStore, Bytes, CachedStore, DiskModel, RemoteOptions, ShardedStore,
-    StoreBackend, StoreStats, TimedStore, BLOCK_SIZE,
+    zero_block, BlockStore, Bytes, CachedStore, RemoteOptions, ShardedStore, StoreBackend,
+    StoreStats, TimedStore, BLOCK_SIZE,
 };
-
-/// The seed's name for the simulated timing-model disk.
-pub type MemDisk = store::SimStore;

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::disk::{zero_block, BlockStore, MemDisk, StoreBackend, BLOCK_SIZE};
+use crate::disk::{zero_block, BlockStore, StoreBackend, BLOCK_SIZE};
 use crate::inode::{FileKind, Inode, INODES_PER_BLOCK, INODE_SIZE, NDIRECT, PTRS_PER_BLOCK};
 use crate::sb::{MountError, Superblock};
 use crate::FsError;
@@ -225,16 +225,6 @@ fn validate_name(name: &str) -> Result<(), FsError> {
 }
 
 impl Ffs {
-    /// Formats a fresh filesystem on the simulated disk `disk`
-    /// (compatibility shim over [`Ffs::format_on`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the disk is too small for the requested inode table.
-    pub fn format(disk: MemDisk, config: FsConfig) -> Ffs {
-        Ffs::format_on(Arc::new(disk), config)
-    }
-
     /// Formats a fresh filesystem on any [`BlockStore`] backend,
     /// refusing to destroy an existing volume.
     ///
@@ -480,8 +470,8 @@ impl Ffs {
 
     /// Formats a filesystem on a fresh untimed in-memory disk.
     pub fn format_in_memory(config: FsConfig) -> Ffs {
-        let disk = MemDisk::untimed(config.total_blocks);
-        Ffs::format(disk, config)
+        let disk = store::SimStore::untimed(config.total_blocks);
+        Ffs::format_on(Arc::new(disk), config)
     }
 
     /// Formats on a disk with the paper's timing models attached.

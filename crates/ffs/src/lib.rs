@@ -163,9 +163,7 @@ mod sb;
 #[cfg(test)]
 mod tests;
 
-pub use disk::{
-    BlockStore, DiskModel, MemDisk, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE,
-};
+pub use disk::{BlockStore, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE};
 pub use fs::{Attr, DirEntry, Ffs, FsConfig, FsStats, Ino, SetAttr};
 pub use inode::FileKind;
 pub use sb::MountError;

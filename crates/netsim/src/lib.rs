@@ -636,7 +636,11 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         // A dropped endpoint is a disconnect from the peer's point of
         // view: wake whoever watches the direction we used to feed so the
-        // loop observes `Disconnected` instead of sleeping forever.
+        // loop observes `Disconnected` instead of sleeping forever. The
+        // sender must be gone before the wakeup: a watcher woken while it
+        // still exists sees an empty, connected channel, goes back to
+        // sleep, and is never woken again.
+        drop(std::mem::replace(&mut self.tx, unbounded().0));
         self.outgoing.notify();
     }
 }

@@ -1,19 +1,7 @@
-//! The generic user-level NFS server loop.
-//!
-//! The historical model (matching the paper's user-level daemon): one
-//! thread per connection — receive a framed RPC message from the secure
-//! transport, decode, dispatch into an [`NfsService`], encode the
-//! reply. The event-driven alternative that multiplexes thousands of
-//! connections onto a fixed worker pool lives in
-//! [`engine`](crate::engine); both share the wire format (frames from
-//! [`onc_rpc::frame`] inside each transport message) and the
-//! [`dispatch`](self) logic below.
+//! RPC dispatch: decodes NFS and MOUNT calls, routes them into an
+//! [`NfsService`] and encodes the replies. The [`engine`](crate::engine)
+//! workers are its only caller.
 
-use std::sync::Arc;
-
-use bytes::Bytes;
-use ipsec::{IpsecError, SecureTransport};
-use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{
     AcceptStat, AuthFlavor, AuthSys, Decoder, Encoder, OpaqueAuth, RpcCallView, RpcReply, XdrError,
 };
@@ -44,60 +32,7 @@ pub(crate) fn request_ctx(
     ctx
 }
 
-/// Serves RPC requests on `chan` until the peer disconnects.
-///
-/// This function blocks; use [`spawn`] for a background thread.
-pub fn serve_connection<S: NfsService + ?Sized>(service: Arc<S>, chan: Box<dyn SecureTransport>) {
-    let peer = chan.peer_identity();
-    let mut last_ctx = RequestCtx::anonymous();
-    let mut decoder = FrameDecoder::new();
-    'serve: loop {
-        let msg = match chan.recv() {
-            Ok(m) => m,
-            Err(IpsecError::Net(_)) => break,
-            // Authentication/replay failures drop the record, not the
-            // connection (ESP semantics).
-            Err(_) => continue,
-        };
-        if decoder.feed(Bytes::from(msg)).is_err() {
-            // A torn frame stream cannot be resynchronized: kill the
-            // connection, as the engine does.
-            service.connection_aborted(&last_ctx, "malformed frame");
-            break;
-        }
-        // A transport message may carry a pipelined batch of frames;
-        // answer them all in one framed reply message.
-        let mut out = Vec::new();
-        while let Some(req) = decoder.pop_frame() {
-            let call = match RpcCallView::decode(&req) {
-                Ok(c) => c,
-                // Garbage that does not even parse as a call is ignored.
-                Err(_) => continue,
-            };
-            let ctx = request_ctx(peer, &call.cred);
-            last_ctx = ctx;
-            let reply = dispatch(&*service, &ctx, &call);
-            let start = frame::begin_frame(&mut out);
-            reply.encode_into(&mut out);
-            frame::end_frame(&mut out, start);
-        }
-        if !out.is_empty() && chan.send(out).is_err() {
-            break 'serve;
-        }
-    }
-    service.connection_closed(&last_ctx);
-}
-
-/// Spawns a server thread for one connection.
-pub fn spawn<S: NfsService + ?Sized + 'static>(
-    service: Arc<S>,
-    chan: Box<dyn SecureTransport>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || serve_connection(service, chan))
-}
-
-/// Routes one decoded call into the service. Shared by the
-/// thread-per-connection loop above and the event engine's workers.
+/// Routes one decoded call into the service.
 pub(crate) fn dispatch<S: NfsService + ?Sized>(
     service: &S,
     ctx: &RequestCtx,

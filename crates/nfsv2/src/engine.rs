@@ -1,11 +1,7 @@
 //! The event-driven request engine: thousands of connections, a fixed
 //! thread pool.
 //!
-//! The thread-per-connection loop in [`server`](crate::server) matches
-//! the paper's user-level daemon but cannot host fleet-scale traffic —
-//! 10 000 clients would mean 10 000 server threads. The [`Engine`]
-//! replaces it with an epoll-style architecture on the simulated
-//! network:
+//! The [`Engine`] is an epoll-style server on the simulated network:
 //!
 //! * **One readiness loop thread** blocks on a [`netsim::ReadySet`]
 //!   that every registered channel pokes when a message lands. Per
@@ -53,7 +49,7 @@ use netsim::{Endpoint, ReadySet};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::RpcCallView;
 
-use crate::server::{dispatch, request_ctx};
+use crate::dispatch::{dispatch, request_ctx};
 use crate::service::{NfsService, RequestCtx};
 
 /// Sizing knobs for an [`Engine`].
@@ -547,7 +543,7 @@ impl Shared {
             for req in &batch {
                 let Ok(call) = RpcCallView::decode(req) else {
                     // Garbage that framed correctly but is not a call is
-                    // ignored, as in the legacy loop.
+                    // ignored; the connection survives.
                     continue;
                 };
                 let ctx = request_ctx(conn.peer, &call.cred);

@@ -1,8 +1,8 @@
 //! The server-side service interface.
 //!
 //! Both user-level servers in this reproduction — the CFS-NE baseline
-//! and DisCFS itself — implement [`NfsService`]; the generic
-//! [`server`](crate::server) loop handles RPC decode/encode and feeds
+//! and DisCFS itself — implement [`NfsService`]; the
+//! [`Engine`](crate::Engine) handles RPC decode/encode and feeds
 //! them typed calls together with a [`RequestCtx`] carrying the
 //! authenticated channel identity (the key DisCFS checks policies
 //! against).
@@ -12,7 +12,7 @@ use onc_rpc::AcceptStat;
 
 use crate::proto::{DirOpArgs, FHandle, Fattr, NfsStat, ReaddirEntry, Sattr, StatfsRes};
 
-/// Per-request context assembled by the server loop.
+/// Per-request context assembled by the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestCtx {
     /// The public key authenticated by the IPsec channel, when present.

@@ -1,31 +1,33 @@
-//! Server robustness: the RPC dispatch layer under malformed and
-//! hostile traffic. A user-level NFS daemon faces the raw network; no
-//! input may crash it or corrupt the volume.
+//! Server robustness: the engine and its RPC dispatch under malformed
+//! and hostile traffic. A user-level NFS daemon faces the raw network;
+//! no input may crash it or corrupt the volume.
 //!
 //! All wire traffic is framed (`onc_rpc::frame`). A well-formed frame
 //! whose payload is not a valid RPC call is *skipped* and the
 //! connection survives; a malformed frame (bad length or checksum)
-//! condemns the connection — that path is exercised by the engine
-//! tests in the `discfs` integration suite.
+//! condemns the connection.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
+use discfs_crypto::ed25519::SigningKey;
 use ffs::{Ffs, FsConfig};
 use ipsec::{PlainChannel, SecureTransport};
 use netsim::{Link, SimClock, Transport};
-use nfsv2::{FfsService, NfsClient, RemoteFs};
+use nfsv2::{Engine, EngineConfig, FfsService, NfsClient, RemoteFs};
 use onc_rpc::frame::{self, FrameDecoder};
 use onc_rpc::{AcceptStat, ReplyBody, RpcCall, RpcReply};
 use proptest::prelude::*;
 
-fn spawn_server() -> (netsim::Endpoint, Arc<Ffs>) {
+fn spawn_server() -> (netsim::Endpoint, Arc<Ffs>, Engine) {
     let clock = SimClock::new();
     let (client_end, server_end) = Link::loopback(&clock);
     let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
     let service = Arc::new(FfsService::new(fs.clone(), 1));
-    nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
-    (client_end, fs)
+    let key = SigningKey::from_seed(&[2; 32]);
+    let engine = Engine::start(service, key, EngineConfig::default());
+    engine.accept_channel(Box::new(PlainChannel::new(server_end)));
+    (client_end, fs, engine)
 }
 
 /// Sends one RPC call as a single framed message.
@@ -67,7 +69,7 @@ fn recv_reply(endpoint: &netsim::Endpoint) -> RpcReply {
 
 #[test]
 fn unknown_program_rejected() {
-    let (endpoint, _) = spawn_server();
+    let (endpoint, _, _engine) = spawn_server();
     let call = RpcCall::new(1, 424242, 1, 0, vec![]);
     send_call(&endpoint, &call);
     let reply = recv_reply(&endpoint);
@@ -76,7 +78,7 @@ fn unknown_program_rejected() {
 
 #[test]
 fn wrong_nfs_version_rejected() {
-    let (endpoint, _) = spawn_server();
+    let (endpoint, _, _engine) = spawn_server();
     let call = RpcCall::new(2, nfsv2::NFS_PROGRAM, 3, 0, vec![]);
     send_call(&endpoint, &call);
     let reply = recv_reply(&endpoint);
@@ -85,7 +87,7 @@ fn wrong_nfs_version_rejected() {
 
 #[test]
 fn unknown_procedure_rejected() {
-    let (endpoint, _) = spawn_server();
+    let (endpoint, _, _engine) = spawn_server();
     let call = RpcCall::new(3, nfsv2::NFS_PROGRAM, 2, 99, vec![]);
     send_call(&endpoint, &call);
     let reply = recv_reply(&endpoint);
@@ -94,7 +96,7 @@ fn unknown_procedure_rejected() {
 
 #[test]
 fn truncated_args_are_garbage() {
-    let (endpoint, _) = spawn_server();
+    let (endpoint, _, _engine) = spawn_server();
     // GETATTR with a 3-byte handle instead of 32.
     let call = RpcCall::new(4, nfsv2::NFS_PROGRAM, 2, 1, vec![1, 2, 3]);
     send_call(&endpoint, &call);
@@ -104,7 +106,7 @@ fn truncated_args_are_garbage() {
 
 #[test]
 fn non_rpc_bytes_ignored_connection_survives() {
-    let (endpoint, _) = spawn_server();
+    let (endpoint, _, _engine) = spawn_server();
     // A well-formed frame carrying garbage: server must skip it, not die.
     endpoint
         .send(frame::encode_frame(&[0xde, 0xad, 0xbe, 0xef]))
@@ -119,7 +121,7 @@ fn non_rpc_bytes_ignored_connection_survives() {
 
 #[test]
 fn malformed_frame_drops_connection() {
-    let (endpoint, fs) = spawn_server();
+    let (endpoint, fs, _engine) = spawn_server();
     // A frame whose checksum does not match its payload condemns the
     // connection: the server cannot trust anything after it.
     let mut bad = frame::encode_frame(b"some payload");
@@ -133,7 +135,7 @@ fn malformed_frame_drops_connection() {
 
 #[test]
 fn pipelined_calls_one_message() {
-    let (endpoint, _) = spawn_server();
+    let (endpoint, _, _engine) = spawn_server();
     // Many calls packed into one transport message: the server decodes
     // them all and batches the replies.
     let mut burst = Vec::new();
@@ -154,7 +156,7 @@ fn pipelined_calls_one_message() {
 
 #[test]
 fn volume_intact_after_garbage_storm() {
-    let (endpoint, fs) = spawn_server();
+    let (endpoint, fs, _engine) = spawn_server();
     // Write a real file first.
     let client = NfsClient::new(Box::new(WrapEndpoint(endpoint)));
     let remote = RemoteFs::mount(client, "/").unwrap();
@@ -203,7 +205,7 @@ proptest! {
     fn survives_random_frames(payloads in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 0..200), 1..10
     )) {
-        let (endpoint, _) = spawn_server();
+        let (endpoint, _, _engine) = spawn_server();
         for payload in payloads {
             endpoint.send(frame::encode_frame(&payload)).unwrap();
         }
@@ -227,7 +229,7 @@ proptest! {
         proc_num in 1u32..18,
         args in proptest::collection::vec(any::<u8>(), 0..120),
     ) {
-        let (endpoint, fs) = spawn_server();
+        let (endpoint, fs, _engine) = spawn_server();
         let call = RpcCall::new(9, nfsv2::NFS_PROGRAM, 2, proc_num, args);
         send_call(&endpoint, &call);
         let reply = recv_reply(&endpoint);

@@ -439,8 +439,7 @@ impl StoreStats {
 /// blocks.
 ///
 /// The filesystem layer validates block numbers before issuing I/O, so
-/// out-of-range access is a bug and implementations panic on it —
-/// identical to the original `MemDisk` contract.
+/// out-of-range access is a bug and implementations panic on it.
 ///
 /// Reads return [`Bytes`]: a cheaply-clonable shared handle. Backends
 /// that hold blocks in memory serve reads as refcount bumps with no

@@ -1,5 +1,4 @@
-//! The simulated timing-model store (the seed's `MemDisk`, moved
-//! behind the [`BlockStore`] trait).
+//! The simulated timing-model store.
 //!
 //! The paper's server stored files on a Quantum Fireball CT10 (a 1999
 //! 5400 RPM IDE disk). [`DiskModel::quantum_fireball_ct10`] charges the
@@ -119,13 +118,6 @@ impl SimStore {
     /// The clock charged by this store.
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// Total reads and writes so far (compatibility accessor; prefer
-    /// [`BlockStore::stats`]).
-    pub fn io_counts(&self) -> (u64, u64) {
-        let s = self.state.lock();
-        (s.reads, s.writes)
     }
 
     fn charge(&self, state: &mut SimState, block: u64) {
@@ -287,7 +279,6 @@ mod tests {
         disk.write_block(0, &block);
         disk.read_block(0);
         disk.read_block(1);
-        assert_eq!(disk.io_counts(), (2, 1));
         let stats = disk.stats();
         assert_eq!((stats.reads, stats.writes), (2, 1));
     }

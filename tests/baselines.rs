@@ -10,7 +10,7 @@ use discfs_crypto::ed25519::SigningKey;
 use ffs::{Ffs, FsConfig};
 use ipsec::PlainChannel;
 use netsim::{Link, SimClock};
-use nfsv2::{NfsClient, RemoteFs};
+use nfsv2::{Engine, EngineConfig, NfsClient, RemoteFs};
 
 /// Writes the same file set through each stack and returns the bytes
 /// read back per file.
@@ -47,7 +47,9 @@ fn cfs_ne_roundtrip() {
     let (client_end, server_end) = Link::loopback(&clock);
     let fs = Arc::new(Ffs::format_in_memory(FsConfig::small()));
     let service = Arc::new(CfsService::passthrough(fs.clone(), 1));
-    nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+    let key = SigningKey::from_seed(&[2; 32]);
+    let engine = Engine::start(service, key, EngineConfig::default());
+    engine.accept_channel(Box::new(PlainChannel::new(server_end)));
     let remote =
         RemoteFs::mount(NfsClient::new(Box::new(PlainChannel::new(client_end))), "/").unwrap();
     roundtrip_files(|name, data| {
@@ -67,7 +69,9 @@ fn cfs_encrypting_roundtrip_and_privacy() {
         1,
         CfsCipher::new(&[0x42; 32]),
     ));
-    nfsv2::server::spawn(service, Box::new(PlainChannel::new(server_end)));
+    let key = SigningKey::from_seed(&[2; 32]);
+    let engine = Engine::start(service, key, EngineConfig::default());
+    engine.accept_channel(Box::new(PlainChannel::new(server_end)));
     let remote =
         RemoteFs::mount(NfsClient::new(Box::new(PlainChannel::new(client_end))), "/").unwrap();
     roundtrip_files(|name, data| {

@@ -218,10 +218,8 @@ fn anonymous_channel_gets_nothing() {
     let bed = Testbed::instant();
     let clock = SimClock::new();
     let (client_end, server_end) = Link::loopback(&clock);
-    let service = bed.service().clone();
-    std::thread::spawn(move || {
-        nfsv2::server::serve_connection(service, Box::new(PlainChannel::new(server_end)));
-    });
+    bed.engine()
+        .accept_channel(Box::new(PlainChannel::new(server_end)));
     let client = nfsv2::NfsClient::new(Box::new(PlainChannel::new(client_end)));
     let err = client.mount("/");
     assert!(

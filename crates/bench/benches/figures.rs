@@ -13,8 +13,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bench_harness::{bench_quick, build_world, FfsBench, SystemKind, World};
 use bonnie::BenchFs;
-use ffs::{Ffs, FsConfig, StoreBackend};
+use ffs::{Ffs, FsConfig};
 use netsim::SimClock;
+use store::{Base, Layer, StoreBackend};
 
 /// Small file so a full phase fits in a criterion iteration.
 const FILE_SIZE: u64 = 1024 * 1024;
@@ -118,15 +119,14 @@ fn bench_search(c: &mut Criterion) {
 struct BackendRun {
     write_virtual: Duration,
     reread_virtual: Duration,
-    stats: ffs::StoreStats,
+    stats: store::StoreStats,
 }
 
 fn run_backend(backend: &StoreBackend, size: u64) -> BackendRun {
     let clock = SimClock::new();
-    let fs = Arc::new(
-        Ffs::open_or_format_backend(backend, &clock, FsConfig::small())
-            .expect("format backend volume"),
-    );
+    let config = FsConfig::small();
+    let store = backend.build(&clock, config.total_blocks);
+    let fs = Arc::new(Ffs::open_or_format(store, config).expect("format backend volume"));
     let mut bench = FfsBench::new(fs.clone());
     clock.reset();
     {
@@ -161,27 +161,33 @@ fn figure_backend_virtual_time(_c: &mut Criterion) {
     let per_block = Duration::from_secs_f64(store::BLOCK_SIZE as f64 / model.transfer_rate as f64);
 
     let timed_file = run_backend(
-        &StoreBackend::Timed {
-            inner: Box::new(StoreBackend::FileJournal {
+        &StoreBackend {
+            base: Base::File {
                 dir: base.join("file"),
-            }),
+            },
+            layers: vec![Layer::Timed],
         },
         size,
     );
     let timed_dedup = run_backend(
-        &StoreBackend::Timed {
-            inner: Box::new(StoreBackend::Dedup),
+        &StoreBackend {
+            base: Base::Dedup { dir: None },
+            layers: vec![Layer::Timed],
         },
         size,
     );
     let cached_timed = run_backend(
-        &StoreBackend::Cached {
-            capacity: 512,
-            inner: Box::new(StoreBackend::Timed {
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: base.join("cached"),
-                }),
-            }),
+        &StoreBackend {
+            base: Base::File {
+                dir: base.join("cached"),
+            },
+            layers: vec![
+                Layer::Timed,
+                Layer::Cached {
+                    capacity: 512,
+                    readahead: 0,
+                },
+            ],
         },
         size,
     );

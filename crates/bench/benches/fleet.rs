@@ -33,12 +33,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use discfs::{CredentialIssuer, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
 use discfs_crypto::rng::DetRng;
-use ffs::{FsConfig, StoreBackend};
+use ffs::FsConfig;
 use ipsec::ike::SecureChannel;
 use netsim::{Endpoint, LinkConfig};
 use nfsv2::proto::proc_nfs;
 use nfsv2::{EngineConfig, FHandle, NfsClient};
 use onc_rpc::Encoder;
+use store::Base;
 
 use self::rand_core_shim::next_f64;
 
@@ -91,7 +92,7 @@ fn build_world() -> (Testbed, Vec<FHandle>, discfs::DiscfsClient) {
         FsConfig::standard(),
         LinkConfig::instant(),
         4096,
-        &StoreBackend::SimInstant,
+        &Base::Sim { timed: false }.into(),
         engine_config(),
     );
     // Populate the working set through a setup client, then make the

@@ -34,9 +34,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use ffs::{FsConfig, StoreBackend};
+use ffs::FsConfig;
 use netsim::LinkConfig;
 use nfsv2::FHandle;
+use store::Base;
 
 /// Files in the shared working set.
 const FILES: usize = 16;
@@ -56,7 +57,7 @@ fn build_world(cache_size: usize) -> WorldState {
         FsConfig::small(),
         LinkConfig::instant(),
         cache_size,
-        &StoreBackend::SimInstant,
+        &Base::Sim { timed: false }.into(),
     );
     let setup = SigningKey::from_seed(&[0xCE; 32]);
     let mut client = bed.connect(&setup).expect("connect setup client");

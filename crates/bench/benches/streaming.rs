@@ -34,11 +34,11 @@ use std::time::Instant;
 use bench_harness::{bench_quick as quick, cores, record_json, write_json_summary};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use ffs::{Ffs, FsConfig, StoreBackend};
+use ffs::{Ffs, FsConfig};
 use netsim::SimClock;
 use store::{
-    BlockStore, CachedStore, DiskModel, FileStore, SimStore, TimedStore, BLOCK_SIZE,
-    JOURNAL_BATCH_RECORDS,
+    Base, BlockStore, CachedStore, DiskModel, FileStore, Layer, SimStore, StoreBackend, TimedStore,
+    BLOCK_SIZE, JOURNAL_BATCH_RECORDS,
 };
 
 /// Streamed file size in blocks (whole file = this × 8 KB).
@@ -67,19 +67,21 @@ fn unique_block(i: u64) -> Vec<u8> {
 /// of the whole file, a flush (untimed — fsync cost is the same with
 /// or without workers), then a chunked sequential read-back. Returns
 /// (write seconds, read seconds, store stats).
-fn stream_round(workers: bool, round: usize) -> (f64, f64, ffs::StoreStats) {
+fn stream_round(workers: bool, round: usize) -> (f64, f64, store::StoreStats) {
     let dir = store::temp_dir_for_tests(&format!("streaming-{workers}-{round}"));
-    let backend = StoreBackend::Sharded {
-        shards: SHARDS,
-        workers,
-        inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
+    let backend = StoreBackend {
+        base: Base::File { dir: dir.clone() },
+        layers: vec![Layer::Sharded {
+            shards: SHARDS,
+            workers,
+        }],
     };
     let clock = SimClock::new();
     let config = FsConfig {
         total_blocks: file_blocks() + 2048,
         inode_count: 64,
     };
-    let fs = Ffs::format_backend(&backend, &clock, config);
+    let fs = Ffs::format_on(backend.build(&clock, config.total_blocks), config);
     let ino = fs.create(fs.root(), "stream.dat", 0o644, 0, 0).unwrap();
 
     let chunk: Vec<u8> = (0..CHUNK_BLOCKS)

@@ -51,13 +51,13 @@ fn parse_args() -> Options {
             "--micro" => opts.micro = true,
             "--ablate" => opts.ablate = true,
             "--scale" => opts.scale = true,
-            "--fig" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--fig requires a number 7..12");
-                opts.figures.push(n);
-            }
+            "--fig" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n @ 7..=12) => opts.figures.push(n),
+                _ => {
+                    eprintln!("--fig requires a figure number from 7 to 12");
+                    std::process::exit(2);
+                }
+            },
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);

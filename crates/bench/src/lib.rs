@@ -23,10 +23,11 @@ use std::time::{Duration, Instant};
 use bonnie::{BenchFile, BenchFs};
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use ffs::{Ffs, FsConfig, Ino, SetAttr, StoreBackend};
+use ffs::{Ffs, FsConfig, Ino, SetAttr};
 use ipsec::PlainChannel;
 use netsim::{Link, LinkConfig, SimClock};
 use nfsv2::{Engine, EngineConfig, FHandle, NfsClient, RemoteFs, Sattr};
+use store::{Base, StoreBackend};
 
 // ---------------------------------------------------------------------------
 // FFS adapter (the "local file system" series).
@@ -430,7 +431,8 @@ pub struct World {
 /// size (cache size only affects DisCFS), on the paper's timing-model
 /// disk.
 pub fn build_world(kind: SystemKind, fs_config: FsConfig, cache_size: usize) -> World {
-    build_world_on(kind, fs_config, cache_size, &StoreBackend::SimTimed)
+    let paper_disk = Base::Sim { timed: true }.into();
+    build_world_on(kind, fs_config, cache_size, &paper_disk)
 }
 
 /// Builds a world for `kind` whose server volume lives on `backend` —
@@ -448,13 +450,16 @@ pub fn build_world_on(
     cache_size: usize,
     backend: &StoreBackend,
 ) -> World {
+    let mount = |clock: &SimClock| {
+        let store = backend.build(clock, fs_config.total_blocks);
+        Arc::new(
+            Ffs::open_or_format(store, fs_config).expect("mount or format the benchmark volume"),
+        )
+    };
     match kind {
         SystemKind::Ffs => {
             let clock = SimClock::new();
-            let fs = Arc::new(
-                Ffs::open_or_format_backend(backend, &clock, fs_config)
-                    .expect("mount or format the benchmark volume"),
-            );
+            let fs = mount(&clock);
             World {
                 fs: Box::new(FfsBench::new(fs)),
                 clock,
@@ -464,10 +469,7 @@ pub fn build_world_on(
         }
         SystemKind::CfsNe => {
             let clock = SimClock::new();
-            let fs = Arc::new(
-                Ffs::open_or_format_backend(backend, &clock, fs_config)
-                    .expect("mount or format the benchmark volume"),
-            );
+            let fs = mount(&clock);
             let service = Arc::new(cfs::CfsService::passthrough(fs, 1));
             let (client_end, server_end) = Link::pair(&clock, LinkConfig::ethernet_100mbps());
             let key = SigningKey::from_seed(&[0xCF; 32]);
@@ -579,7 +581,8 @@ pub fn run_bonnie_figure(
     file_size: u64,
     fs_config: FsConfig,
 ) -> Measurement {
-    run_bonnie_figure_on(kind, figure, file_size, fs_config, &StoreBackend::SimTimed)
+    let paper_disk = Base::Sim { timed: true }.into();
+    run_bonnie_figure_on(kind, figure, file_size, fs_config, &paper_disk)
 }
 
 /// Runs one Bonnie figure against one system on a chosen storage
@@ -713,6 +716,7 @@ pub fn write_json_summary() {
 mod tests {
     use super::*;
     use bonnie::TreeSpec;
+    use store::Layer;
 
     #[test]
     fn json_values_format_for_trajectory_diffing() {
@@ -792,37 +796,50 @@ mod tests {
         // full CFS-NE network stack.
         let dir = store::temp_dir_for_tests("bench-world");
         let backends = [
-            StoreBackend::SimInstant,
-            StoreBackend::FileJournal {
+            StoreBackend::from(Base::Sim { timed: false }),
+            StoreBackend::from(Base::File {
                 dir: dir.join("plain"),
+            }),
+            StoreBackend::from(Base::Dedup { dir: None }),
+            StoreBackend {
+                base: Base::Dedup { dir: None },
+                layers: vec![Layer::Encrypted { key: [0xEE; 32] }],
             },
-            StoreBackend::Dedup,
-            StoreBackend::DedupEncrypted { key: [0xEE; 32] },
-            StoreBackend::Cached {
-                capacity: 128,
-                inner: Box::new(StoreBackend::SimInstant),
+            StoreBackend {
+                base: Base::Sim { timed: false },
+                layers: vec![Layer::Cached {
+                    capacity: 128,
+                    readahead: 0,
+                }],
             },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: false,
-                inner: Box::new(StoreBackend::FileJournal {
+            StoreBackend {
+                base: Base::File {
                     dir: dir.join("sharded"),
-                }),
+                },
+                layers: vec![Layer::Sharded {
+                    shards: 4,
+                    workers: false,
+                }],
             },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: true,
-                inner: Box::new(StoreBackend::FileJournal {
+            StoreBackend {
+                base: Base::File {
                     dir: dir.join("sharded-workers"),
-                }),
+                },
+                layers: vec![Layer::Sharded {
+                    shards: 4,
+                    workers: true,
+                }],
             },
-            StoreBackend::CachedReadahead {
-                capacity: 128,
-                window: 8,
-                inner: Box::new(StoreBackend::SimInstant),
+            StoreBackend {
+                base: Base::Sim { timed: false },
+                layers: vec![Layer::Cached {
+                    capacity: 128,
+                    readahead: 8,
+                }],
             },
-            StoreBackend::Timed {
-                inner: Box::new(StoreBackend::Dedup),
+            StoreBackend {
+                base: Base::Dedup { dir: None },
+                layers: vec![Layer::Timed],
             },
         ];
         for backend in &backends {
@@ -845,22 +862,29 @@ mod tests {
         // read the old file back through the full stack.
         let base = store::temp_dir_for_tests("bench-reboot");
         let backends = [
-            StoreBackend::FileJournal {
+            StoreBackend::from(Base::File {
                 dir: base.join("file"),
+            }),
+            StoreBackend {
+                base: Base::File {
+                    dir: base.join("enc"),
+                },
+                layers: vec![Layer::Encrypted { key: [0x42; 32] }],
             },
-            StoreBackend::EncryptedJournal {
-                dir: base.join("enc"),
-                key: [0x42; 32],
-            },
-            StoreBackend::Cached {
-                capacity: 64,
-                inner: Box::new(StoreBackend::Sharded {
-                    shards: 3,
-                    workers: true,
-                    inner: Box::new(StoreBackend::FileJournal {
-                        dir: base.join("cached-sharded"),
-                    }),
-                }),
+            StoreBackend {
+                base: Base::File {
+                    dir: base.join("cached-sharded"),
+                },
+                layers: vec![
+                    Layer::Sharded {
+                        shards: 3,
+                        workers: true,
+                    },
+                    Layer::Cached {
+                        capacity: 64,
+                        readahead: 0,
+                    },
+                ],
             },
         ];
         for backend in &backends {
@@ -887,7 +911,11 @@ mod tests {
         // A duplicate-heavy stream written through the filesystem on
         // the dedup backend must surface a high hit ratio in stats.
         let clock = SimClock::new();
-        let fs = Ffs::format_backend(&StoreBackend::Dedup, &clock, FsConfig::small());
+        let fs = Ffs::format_on(
+            StoreBackend::from(Base::Dedup { dir: None })
+                .build(&clock, FsConfig::small().total_blocks),
+            FsConfig::small(),
+        );
         let block = vec![0xABu8; 8192];
         for i in 0..8 {
             let ino = fs

@@ -115,32 +115,16 @@
 //! # Storage backends
 //!
 //! The server's volume is built on the pluggable block-store subsystem
-//! (the `store` crate): [`Testbed::with_backend`] selects where blocks
-//! live via `ffs::StoreBackend` —
-//!
-//! * `SimTimed` / `SimInstant` — the in-memory simulated disk, with or
-//!   without the paper's Quantum Fireball timing model (the default
-//!   everywhere, so figure reproduction is unchanged);
-//! * `FileJournal` — persistent file-backed storage with a write-ahead
-//!   journal for crash consistency;
-//! * `Dedup` / `DedupPersistent` — SHA-256 content-addressed
-//!   deduplication (optionally snapshot-persistent), exposing a dedup
-//!   hit-ratio through [`Testbed::store_stats`];
-//! * `DedupEncrypted` / `EncryptedJournal` — ChaCha20
-//!   encryption-at-rest over the dedup or journaled-file store;
-//! * `Cached { capacity, inner }` — a sharded write-back LRU buffer
-//!   cache over any of the above: a served-from-cache read is a
-//!   refcounted handle clone, so a hot working set stops paying the
-//!   backend's locking, hashing, or timing costs entirely (cache
-//!   hit/miss counters surface through [`Testbed::store_stats`]);
-//! * `Sharded { shards, inner }` — the volume striped `i % N` across
-//!   N inner stores with per-shard locks and a parallel flush;
-//! * `Timed { inner }` — the paper's disk timing model charged on any
-//!   backend, so virtual-time figures can compare persistent backends.
-//!
-//! Wrappers nest: a production-shaped server volume is
-//! `Cached { inner: Sharded { inner: FileJournal } }`, and the whole
-//! credential stack (and [`Testbed::reboot`]) runs over it unchanged.
+//! (the [`store`] crate): [`Testbed::with_backend`] takes a
+//! `store::StoreBackend`, one base plus an ordered list of layers,
+//! bottom-up (the grammar is in the [`store`] crate docs). The
+//! default everywhere is `Base::Sim { timed: true }`, the paper's
+//! Quantum Fireball disk, so figure reproduction is unchanged. A
+//! production-shaped server volume is a `File` base (journaled,
+//! crash-consistent) under `[Sharded, Cached]`, and the whole
+//! credential stack (and [`Testbed::reboot`]) runs over it unchanged;
+//! dedup, cache and wire counters surface through
+//! [`Testbed::store_stats`].
 //!
 //! ## Persistent volumes
 //!
@@ -157,14 +141,15 @@
 //!
 //! ```
 //! use discfs::Testbed;
-//! use ffs::{FsConfig, StoreBackend};
+//! use ffs::FsConfig;
 //! use netsim::LinkConfig;
+//! use store::Base;
 //!
 //! let bed = Testbed::with_backend(
 //!     FsConfig::small(),
 //!     LinkConfig::instant(),
 //!     128,
-//!     &StoreBackend::Dedup,
+//!     &Base::Dedup { dir: None }.into(),
 //! );
 //! // The volume formats and checks clean on the dedup backend.
 //! bed.fs().check().unwrap();
@@ -179,29 +164,27 @@
 //! an ordinary `BlockStore` with per-request timeout and retry — and
 //! `store::ReplicatedStore` stripes a volume R-way across N such
 //! nodes, committing each flush under an epoch record so a torn
-//! write replays to one consistent epoch. Two backend presets
-//! compose the tier under the credential stack unchanged:
-//!
-//! * `Remote { ethernet, opts, inner }` — one storage node behind the
-//!   wire protocol (100 Mbps Ethernet timing or instant links), with a
-//!   tunable timeout/backoff policy;
-//! * `Replicated { nodes, replicas, spares, ethernet, opts, inner }` —
-//!   an N-node volume that keeps serving every read through the death
-//!   of any single node and rebuilds the lost replicas onto a spare.
+//! write replays to one consistent epoch. Two layers compose the
+//! tier under the credential stack unchanged: `Layer::Remote` (one
+//! storage node) and `Layer::Replicated` (an N-node volume that keeps
+//! serving every read through the death of any single node and
+//! rebuilds the lost replicas onto a spare).
 //!
 //! ```
 //! use discfs::Testbed;
-//! use ffs::{FsConfig, StoreBackend};
+//! use ffs::FsConfig;
 //! use netsim::LinkConfig;
-//! use store::RemoteOptions;
+//! use store::{Base, Layer, RemoteOptions, StoreBackend};
 //!
-//! let backend = StoreBackend::Replicated {
-//!     nodes: 4,
-//!     replicas: 2,
-//!     spares: 1,
-//!     ethernet: false,
-//!     opts: RemoteOptions::default(),
-//!     inner: Box::new(StoreBackend::SimInstant),
+//! let backend = StoreBackend {
+//!     base: Base::Sim { timed: false },
+//!     layers: vec![Layer::Replicated {
+//!         nodes: 4,
+//!         replicas: 2,
+//!         spares: 1,
+//!         ethernet: false,
+//!         opts: RemoteOptions::default(),
+//!     }],
 //! };
 //! let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
 //! bed.fs().check().unwrap();

@@ -29,7 +29,7 @@
 //!   on the client key's first byte, each a `RwLock<HashMap>` of
 //!   [`Arc<PeerState>`]. The hot path takes a shard *read* lock just
 //!   long enough to clone the Arc.
-//! * Each [`PeerState`] carries an `AtomicU64` **credential epoch**
+//! * Each `PeerState` carries an `AtomicU64` **credential epoch**
 //!   (bumped on credential add and revocation purge) read with a plain
 //!   atomic load; the KeyNote [`Session`] behind its own `Mutex` is
 //!   only locked on cache misses and credential mutations.

@@ -14,10 +14,11 @@ use std::sync::Arc;
 
 use discfs_crypto::ed25519::{SigningKey, VerifyingKey};
 use discfs_crypto::rng::DetRng;
-use ffs::{BlockStore, Ffs, FsConfig, StoreBackend};
+use ffs::{Ffs, FsConfig};
 use ipsec::ike::SecureChannel;
 use netsim::{Endpoint, Link, LinkConfig, SimClock};
 use nfsv2::{Engine, EngineConfig};
+use store::{Base, BlockStore, StoreBackend};
 
 use crate::client::{DiscfsClient, DiscfsClientError};
 use crate::server::{DiscfsConfig, DiscfsService};
@@ -28,17 +29,22 @@ pub struct Testbed {
     fs_config: FsConfig,
     link_config: LinkConfig,
     cache_size: usize,
-    backend: StoreBackend,
-    /// A caller-constructed store mounted via [`Testbed::with_store`];
-    /// [`Testbed::reboot`] remounts it instead of rebuilding from the
-    /// `backend` spec.
-    prebuilt: Option<Arc<dyn BlockStore>>,
+    volume: Volume,
     service: Arc<DiscfsService>,
     server_public: VerifyingKey,
     admin: SigningKey,
     connection_counter: std::sync::atomic::AtomicU64,
     /// The event-driven request engine serving every connection.
     engine: Engine,
+}
+
+/// What the server volume lives on — what [`Testbed::reboot`] brings
+/// back.
+enum Volume {
+    /// A stack rebuilt from its description on every boot.
+    Spec(StoreBackend),
+    /// A caller-built store ([`Testbed::with_store`]), remounted as is.
+    Built(Arc<dyn BlockStore>),
 }
 
 impl Testbed {
@@ -55,7 +61,8 @@ impl Testbed {
     /// Full control over geometry, link model and cache size, on the
     /// paper's timing-model disk.
     pub fn with_config(fs_config: FsConfig, link_config: LinkConfig, cache_size: usize) -> Testbed {
-        Testbed::with_backend(fs_config, link_config, cache_size, &StoreBackend::SimTimed)
+        let paper_disk = Base::Sim { timed: true }.into();
+        Testbed::with_backend(fs_config, link_config, cache_size, &paper_disk)
     }
 
     /// Full control including the storage backend the server's volume
@@ -96,26 +103,19 @@ impl Testbed {
         backend: &StoreBackend,
         engine_config: EngineConfig,
     ) -> Testbed {
-        let clock = SimClock::new();
-        let fs = Arc::new(
-            Ffs::open_or_format_backend(backend, &clock, fs_config)
-                .expect("mount or format the server volume"),
-        );
         Testbed::assemble(
-            clock,
-            fs,
+            SimClock::new(),
+            Volume::Spec(backend.clone()),
             fs_config,
             link_config,
             cache_size,
-            backend.clone(),
-            None,
             engine_config,
         )
     }
 
     /// Builds a testbed on a **prebuilt** block store that shares
     /// `clock` — for chaos tests that assemble the storage fleet by
-    /// hand (fault plans, tuned [`ffs::RemoteOptions`], rebuild
+    /// hand (fault plans, tuned [`store::RemoteOptions`], rebuild
     /// budgets) before mounting DisCFS on it. A store already holding
     /// a formatted volume is mounted, not reformatted, and
     /// [`Testbed::reboot`] remounts the **same** store instead of
@@ -132,33 +132,32 @@ impl Testbed {
         clock: &SimClock,
         store: Arc<dyn BlockStore>,
     ) -> Testbed {
-        let fs = Arc::new(
-            Ffs::open_or_format(Arc::clone(&store), fs_config)
-                .expect("mount or format the server volume"),
-        );
         Testbed::assemble(
             clock.clone(),
-            fs,
+            Volume::Built(store),
             fs_config,
             link_config,
             cache_size,
-            StoreBackend::SimInstant,
-            Some(store),
             EngineConfig::default(),
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Mounts (or formats) the volume on `clock` and starts the server.
     fn assemble(
         clock: SimClock,
-        fs: Arc<Ffs>,
+        volume: Volume,
         fs_config: FsConfig,
         link_config: LinkConfig,
         cache_size: usize,
-        backend: StoreBackend,
-        prebuilt: Option<Arc<dyn BlockStore>>,
         engine_config: EngineConfig,
     ) -> Testbed {
+        let store = match &volume {
+            Volume::Spec(backend) => backend.build(&clock, fs_config.total_blocks),
+            Volume::Built(store) => Arc::clone(store),
+        };
+        let fs = Arc::new(
+            Ffs::open_or_format(store, fs_config).expect("mount or format the server volume"),
+        );
         let admin = SigningKey::from_seed(&[0xAD; 32]);
         let server_key = SigningKey::from_seed(&SERVER_KEY_SEED);
         let server_public = server_key.public();
@@ -179,8 +178,7 @@ impl Testbed {
             fs_config,
             link_config,
             cache_size,
-            backend,
-            prebuilt,
+            volume,
             service,
             server_public,
             admin,
@@ -227,17 +225,20 @@ impl Testbed {
             fs_config,
             link_config,
             cache_size,
-            backend,
-            prebuilt,
+            volume,
             service,
             engine,
             ..
         } = self;
         drop(engine);
         drop(service);
-        match prebuilt {
-            Some(store) => Testbed::with_store(fs_config, link_config, cache_size, &clock, store),
-            None => Testbed::with_backend(fs_config, link_config, cache_size, &backend),
+        match volume {
+            Volume::Spec(backend) => {
+                Testbed::with_backend(fs_config, link_config, cache_size, &backend)
+            }
+            Volume::Built(store) => {
+                Testbed::with_store(fs_config, link_config, cache_size, &clock, store)
+            }
         }
     }
 
@@ -252,8 +253,8 @@ impl Testbed {
     }
 
     /// Counters of the volume's storage backend — e.g. the dedup hit
-    /// ratio when the testbed runs on [`StoreBackend::Dedup`].
-    pub fn store_stats(&self) -> ffs::StoreStats {
+    /// ratio when the testbed runs on a [`store::Base::Dedup`] volume.
+    pub fn store_stats(&self) -> store::StoreStats {
         self.fs().disk().stats()
     }
 

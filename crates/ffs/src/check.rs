@@ -6,9 +6,9 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::disk::BLOCK_SIZE;
 use crate::fs::{Ffs, Ino};
 use crate::inode::{FileKind, NDIRECT, PTRS_PER_BLOCK};
+use store::BLOCK_SIZE;
 
 impl Ffs {
     /// Verifies filesystem invariants, returning a list of violations.

@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::disk::{zero_block, BlockStore, StoreBackend, BLOCK_SIZE};
 use crate::inode::{FileKind, Inode, INODES_PER_BLOCK, INODE_SIZE, NDIRECT, PTRS_PER_BLOCK};
 use crate::sb::{MountError, Superblock};
 use crate::FsError;
+use store::{zero_block, BlockStore, BLOCK_SIZE};
 
 /// An inode number. 0 is invalid; 1 is the root directory.
 pub type Ino = u32;
@@ -354,36 +354,6 @@ impl Ffs {
         fs
     }
 
-    /// Mounts the volume selected by `backend` (see [`Ffs::mount_on`];
-    /// `config` only sizes the in-memory store construction — the
-    /// authoritative geometry comes from the on-disk superblock).
-    ///
-    /// # Errors
-    ///
-    /// [`MountError`] when the store holds no valid volume.
-    pub fn mount_backend(
-        backend: &StoreBackend,
-        clock: &netsim::SimClock,
-        config: FsConfig,
-    ) -> Result<Ffs, MountError> {
-        Ffs::mount_on(backend.build(clock, config.total_blocks))
-    }
-
-    /// Mounts an existing volume if `backend` holds one, otherwise
-    /// formats a fresh volume with `config` (see
-    /// [`Ffs::open_or_format`]).
-    ///
-    /// # Errors
-    ///
-    /// [`MountError`] when a superblock is present but unusable.
-    pub fn open_or_format_backend(
-        backend: &StoreBackend,
-        clock: &netsim::SimClock,
-        config: FsConfig,
-    ) -> Result<Ffs, MountError> {
-        Ffs::open_or_format(backend.build(clock, config.total_blocks), config)
-    }
-
     /// Mounts an existing volume when the store carries a superblock,
     /// and formats a fresh one when the store is virgin — the right
     /// default for persistent backends that may or may not have been
@@ -394,7 +364,7 @@ impl Ffs {
     /// [`MountError`] when a superblock is present but damaged
     /// (checksum mismatch, unknown version, impossible geometry), and
     /// also when block 0 holds unrecognized *nonzero* data — which is
-    /// what an `EncryptedJournal` volume opened with the wrong key
+    /// what an encrypted volume opened with the wrong key
     /// looks like. Either way the data is *not* silently destroyed —
     /// recover it (or fix the key), or erase explicitly with
     /// [`Ffs::force_format_on`].
@@ -472,21 +442,6 @@ impl Ffs {
     pub fn format_in_memory(config: FsConfig) -> Ffs {
         let disk = store::SimStore::untimed(config.total_blocks);
         Ffs::format_on(Arc::new(disk), config)
-    }
-
-    /// Formats on a disk with the paper's timing models attached.
-    pub fn format_timed(clock: &netsim::SimClock, config: FsConfig) -> Ffs {
-        Ffs::format_backend(&StoreBackend::SimTimed, clock, config)
-    }
-
-    /// Formats on the storage backend selected by `backend`; the
-    /// timing-model backends charge `clock`.
-    pub fn format_backend(
-        backend: &StoreBackend,
-        clock: &netsim::SimClock,
-        config: FsConfig,
-    ) -> Ffs {
-        Ffs::format_on(backend.build(clock, config.total_blocks), config)
     }
 
     /// The root directory inode (always 1).

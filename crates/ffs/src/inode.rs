@@ -7,7 +7,7 @@
 //! benchmarks need. Pointer value 0 means "hole" (block 0 holds the
 //! superblock and can never be file data).
 
-use crate::disk::BLOCK_SIZE;
+use store::BLOCK_SIZE;
 
 /// Size of one serialized inode.
 pub const INODE_SIZE: usize = 256;

@@ -21,36 +21,24 @@
 //! # Storage backends
 //!
 //! The filesystem is written against the [`BlockStore`] trait from the
-//! `store` crate rather than a concrete device. Pick a backend at
-//! format time:
+//! `store` crate rather than a concrete device. Every constructor
+//! takes the store as an `Arc<dyn BlockStore>`:
 //!
-//! * [`Ffs::format_in_memory`] / [`Ffs::format_timed`] — the
-//!   historical constructors: an in-memory simulated disk, untimed or
-//!   charging the paper's Quantum Fireball timing model.
-//! * [`Ffs::format_backend`] — any [`StoreBackend`]: `SimTimed`,
-//!   `SimInstant`, `FileJournal` (persistent, write-ahead journaled;
-//!   call [`Ffs::sync`] to apply the WAL), `Dedup`/`DedupPersistent`
-//!   (content-addressed, SHA-256 deduplicated, reports a dedup hit
-//!   ratio through [`BlockStore::stats`]), `DedupEncrypted` (dedup
-//!   wrapped in ChaCha20 encryption-at-rest), or `EncryptedJournal`
-//!   (encrypted persistent journaled storage).
-//! * Composable wrappers nest around any of the above:
-//!   `StoreBackend::Cached` (a sharded write-back LRU buffer cache —
-//!   hot reads become refcounted handle clones and never touch the
-//!   backend), `StoreBackend::Sharded` (one volume striped `i % N`
-//!   across N inner stores with per-shard locks and parallel flush),
-//!   and `StoreBackend::Timed` (the paper's disk timing model charged
-//!   on any backend, so virtual-time figures can compare persistent
-//!   backends too).
-//! * [`Ffs::format_on`] — any hand-built `Arc<dyn BlockStore>`,
-//!   including custom wrappers like `store::EncryptedStore`.
+//! * [`Ffs::format_in_memory`] — an untimed in-memory simulated disk.
+//! * [`Ffs::format_on`] / [`Ffs::mount_on`] / [`Ffs::open_or_format`]
+//!   — any store: hand-built, or built from a `store::StoreBackend`
+//!   description (a base plus bottom-up layers; the grammar is in the
+//!   [`store`] crate docs) with
+//!   `backend.build(&clock, config.total_blocks)`. On a journaled
+//!   `File` base, call [`Ffs::sync`] to apply the WAL; a `Dedup` base
+//!   reports its hit ratio through [`BlockStore::stats`].
 //!
 //! **Hot-path note:** `BlockStore::read_block` returns a shared
 //! `Bytes` handle, and the filesystem's read path consumes it without
 //! copying per block at the store layer — on in-memory, dedup, and
 //! cache-hit paths a block read performs **zero heap allocations**
 //! (`crates/bench/benches/micro_store.rs` pins this with a counting
-//! allocator). Writes on `FileJournal` are group-committed: journal
+//! allocator). Writes on a `File` base are group-committed: journal
 //! records reach disk in one syscall per [`store::JOURNAL_BATCH_RECORDS`]
 //! batch with the on-disk record format unchanged.
 //!
@@ -67,21 +55,21 @@
 //! order, as the per-block loop produced (the crash matrix is
 //! unchanged and passing). What the batching buys per backend:
 //!
-//! * `Sharded { workers: true, .. }` fans the extent out one job per
-//!   involved shard through bounded submission queues, so a *single*
-//!   client's streaming burst drives all N shards concurrently
+//! * `Layer::Sharded { workers: true, .. }` fans the extent out one
+//!   job per involved shard through bounded submission queues, so a
+//!   *single* client's streaming burst drives all N shards concurrently
 //!   (`crates/bench/benches/streaming.rs` pins the ≥ 2× speedup on
 //!   ≥ 4 cores).
-//! * `FileJournal` seals a W-block vectored write into exactly
+//! * A `File` base seals a W-block vectored write into exactly
 //!   `ceil(W / JOURNAL_BATCH_RECORDS)` journal append syscalls — the
 //!   vectored write is a durability unit (its records are sealed when
 //!   the call returns).
-//! * `CachedReadahead` detects ascending strides on the scalar read
-//!   path (NFS-style 8 KB transfers) and prefetches a configurable
-//!   window from the inner store vectored, so a sequential consumer
-//!   finds its next blocks already cached
+//! * `Layer::Cached` with a nonzero `readahead` detects ascending
+//!   strides on the scalar read path (NFS-style 8 KB transfers) and
+//!   prefetches that window from the inner store vectored, so a
+//!   sequential consumer finds its next blocks already cached
 //!   (`StoreStats::readahead_blocks` counts the traffic).
-//! * `Timed` charges a contiguous run one seek + rotation plus
+//! * `Layer::Timed` charges a contiguous run one seek + rotation plus
 //!   per-block transfer — exactly what the looped path charged for
 //!   the same access order, so the paper's virtual-time figures are
 //!   byte-stable.
@@ -102,17 +90,15 @@
 //!   volume. Since the store now carries a checksummed superblock,
 //!   the `format_*` paths *refuse* to touch a store that already
 //!   holds one (the pre-mount behavior of silently reformatting — and
-//!   destroying — an existing `FileJournal` directory is gone);
+//!   destroying — an existing journaled volume is gone);
 //!   [`Ffs::force_format_on`] is the explicit eraser.
-//! * **mount** ([`Ffs::mount_on`] / [`Ffs::mount_backend`]) — reopens
-//!   an existing volume: validates the superblock (magic, version,
-//!   SHA-256 checksum, geometry against the store size — garbage
-//!   fails closed with a [`MountError`]) and rebuilds in-memory state
-//!   from disk.
-//! * **open-or-format** ([`Ffs::open_or_format`] /
-//!   [`Ffs::open_or_format_backend`]) — mounts when a superblock is
-//!   present, formats when the store is virgin; a *damaged*
-//!   superblock is still an error, never a silent reformat.
+//! * **mount** ([`Ffs::mount_on`]) — reopens an existing volume:
+//!   validates the superblock (magic, version, SHA-256 checksum,
+//!   geometry against the store size — garbage fails closed with a
+//!   [`MountError`]) and rebuilds in-memory state from disk.
+//! * **open-or-format** ([`Ffs::open_or_format`]) — mounts when a
+//!   superblock is present, formats when the store is virgin; a
+//!   *damaged* superblock is still an error, never a silent reformat.
 //!
 //! Durability is sync-granular: [`Ffs::sync`] writes the in-memory
 //! inode/block bitmaps to their durable regions, flushes the backend
@@ -120,14 +106,14 @@
 //! dirty blocks down first), marks the superblock clean, and flushes
 //! once more — the flush *before* the clean marker guarantees the
 //! marker can never reach the journal ahead of a mutation it claims
-//! to cover, even through a `StoreBackend::Cached` composition. A
+//! to cover, even through a `Layer::Cached` write-back cache. A
 //! mount of a clean volume trusts the durable bitmaps; the
 //! first mutation after a sync flips the superblock dirty, so a mount
 //! after an unclean shutdown runs an fsck-style recovery sweep
 //! instead: the inode table is authoritative, bitmaps are rebuilt
 //! from it, directory entries pointing at lost inodes are dropped,
 //! orphaned inodes/blocks are freed, and link counts are repaired —
-//! landing on the last consistent state. On the `FileJournal` backend
+//! landing on the last consistent state. On a journaled `File` base
 //! every write is also journaled *before* [`Ffs::sync`], so an
 //! acknowledged write survives a crash unless the journal record
 //! itself was torn; the crash-injection tests truncate the journal at
@@ -156,17 +142,16 @@
 #![warn(missing_docs)]
 
 mod check;
-pub mod disk;
 mod fs;
 mod inode;
 mod sb;
 #[cfg(test)]
 mod tests;
 
-pub use disk::{BlockStore, RemoteOptions, StoreBackend, StoreStats, BLOCK_SIZE};
 pub use fs::{Attr, DirEntry, Ffs, FsConfig, FsStats, Ino, SetAttr};
 pub use inode::FileKind;
 pub use sb::MountError;
+pub use store::{BlockStore, BLOCK_SIZE};
 
 /// Errors returned by filesystem operations (errno-flavored).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

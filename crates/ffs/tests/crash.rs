@@ -6,9 +6,9 @@
 
 use std::path::Path;
 
-use ffs::{Ffs, FsConfig, StoreBackend};
+use ffs::{Ffs, FsConfig};
 use netsim::SimClock;
-use store::JOURNAL_RECORD_LEN;
+use store::{Base, Layer, StoreBackend, JOURNAL_RECORD_LEN};
 
 /// Tiny geometry: keeps the per-truncation image copies cheap.
 fn config() -> FsConfig {
@@ -40,8 +40,8 @@ fn copy_image(src: &Path, dst: &Path) {
 /// sweep's repairs.
 fn build_master(dir: &Path) -> (Vec<u8>, Vec<u8>) {
     let clock = SimClock::new();
-    let backend = StoreBackend::FileJournal { dir: dir.into() };
-    let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+    let backend = StoreBackend::from(Base::File { dir: dir.into() });
+    let fs = Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
     let root = fs.root();
 
     let stable = payload(1, 3 * ffs::BLOCK_SIZE + 17);
@@ -105,10 +105,10 @@ fn every_journal_truncation_point_mounts_consistently() {
         journal.set_len(cut).unwrap();
         drop(journal);
 
-        let backend = StoreBackend::FileJournal {
+        let backend = StoreBackend::from(Base::File {
             dir: scratch.clone(),
-        };
-        let fs = Ffs::mount_backend(&backend, &clock, config())
+        });
+        let fs = Ffs::mount_on(backend.build(&clock, config().total_blocks))
             .unwrap_or_else(|e| panic!("cut {cut}: mount failed: {e}"));
         fs.check()
             .unwrap_or_else(|p| panic!("cut {cut}: fsck after recovery: {p:?}"));
@@ -150,10 +150,11 @@ fn repeated_crash_reopen_cycles_accumulate_files() {
     // replay plus recovery sweep must carry every previous life's file
     // forward.
     let dir = store::temp_dir_for_tests("crash-cycles");
-    let backend = StoreBackend::FileJournal { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::File { dir: dir.clone() });
     let clock = SimClock::new();
     for life in 0..5u32 {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         for prev in 0..life {
             let ino = fs
                 .resolve_path(&format!("life-{prev}.dat"))
@@ -181,10 +182,11 @@ fn crash_during_force_reformat_cannot_resurrect_the_old_volume() {
     // no superblock — never to the old clean superblock sitting over a
     // half-zeroed inode table.
     let dir = store::temp_dir_for_tests("crash-reformat");
-    let backend = StoreBackend::FileJournal { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::File { dir: dir.clone() });
     let clock = SimClock::new();
     {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let ino = fs.create(fs.root(), "old.dat", 0o644, 0, 0).unwrap();
         fs.write(ino, 0, b"previous life").unwrap();
         fs.sync().unwrap(); // clean superblock durable in blocks.dat
@@ -227,14 +229,18 @@ fn cached_volume_crash_rolls_back_to_the_synced_state() {
     // loses the cache — the mount must notice the dirty marker, run
     // the recovery sweep, and land exactly on the synced state.
     let dir = store::temp_dir_for_tests("crash-cached");
-    let backend = StoreBackend::Cached {
-        capacity: 4 * config().total_blocks as usize,
-        inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
+    let backend = StoreBackend {
+        base: Base::File { dir: dir.clone() },
+        layers: vec![Layer::Cached {
+            capacity: 4 * config().total_blocks as usize,
+            readahead: 0,
+        }],
     };
     let clock = SimClock::new();
     let stable = payload(7, 2 * ffs::BLOCK_SIZE + 100);
     {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let a = fs.create(fs.root(), "stable.dat", 0o644, 0, 0).unwrap();
         fs.write(a, 0, &stable).unwrap();
         fs.sync().unwrap();
@@ -243,7 +249,7 @@ fn cached_volume_crash_rolls_back_to_the_synced_state() {
         fs.write(b, 0, &payload(8, 5000)).unwrap();
         // Dropped without sync: the "crash".
     }
-    let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+    let fs = Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
     fs.check()
         .unwrap_or_else(|p| panic!("fsck after cached crash: {p:?}"));
     assert_eq!(
@@ -272,14 +278,18 @@ fn cached_volume_with_evictions_recovers_consistently() {
     // volume with the synced baseline intact (nothing post-sync freed
     // a synced block, so eviction order cannot touch it).
     let dir = store::temp_dir_for_tests("crash-cached-evict");
-    let backend = StoreBackend::Cached {
-        capacity: 8,
-        inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
+    let backend = StoreBackend {
+        base: Base::File { dir: dir.clone() },
+        layers: vec![Layer::Cached {
+            capacity: 8,
+            readahead: 0,
+        }],
     };
     let clock = SimClock::new();
     let stable = payload(11, 3 * ffs::BLOCK_SIZE);
     {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let a = fs.create(fs.root(), "stable.dat", 0o644, 0, 0).unwrap();
         fs.write(a, 0, &stable).unwrap();
         fs.sync().unwrap();
@@ -292,7 +302,7 @@ fn cached_volume_with_evictions_recovers_consistently() {
         }
         // Dropped without sync.
     }
-    let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+    let fs = Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
     fs.check()
         .unwrap_or_else(|p| panic!("fsck after eviction crash: {p:?}"));
     assert_eq!(
@@ -318,14 +328,14 @@ fn sharded_volume_crash_replays_every_shard_journal() {
     // what is journaled, and their Drop joins before the shards').
     for workers in [false, true] {
         let dir = store::temp_dir_for_tests("crash-sharded");
-        let backend = StoreBackend::Sharded {
-            shards: 4,
-            workers,
-            inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
+        let backend = StoreBackend {
+            base: Base::File { dir: dir.clone() },
+            layers: vec![Layer::Sharded { shards: 4, workers }],
         };
         let clock = SimClock::new();
         for life in 0..4u32 {
-            let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+            let fs = Ffs::open_or_format(backend.build(&clock, config().total_blocks), config())
+                .unwrap();
             for prev in 0..life {
                 let ino = fs
                     .resolve_path(&format!("life-{prev}.dat"))
@@ -371,10 +381,10 @@ fn truncated_to_zero_journal_restores_the_synced_state_exactly() {
     drop(journal);
 
     let clock = SimClock::new();
-    let backend = StoreBackend::FileJournal {
+    let backend = StoreBackend::from(Base::File {
         dir: master.clone(),
-    };
-    let fs = Ffs::mount_backend(&backend, &clock, config()).unwrap();
+    });
+    let fs = Ffs::mount_on(backend.build(&clock, config().total_blocks)).unwrap();
     fs.check().unwrap();
     // Exactly the synced state: both files, nothing from after.
     assert_eq!(

@@ -8,10 +8,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ffs::{BlockStore, Ffs, FsConfig, MountError, StoreBackend};
+use ffs::{Ffs, FsConfig, MountError};
 use netsim::SimClock;
 use proptest::prelude::*;
-use store::SimStore;
+use store::{Base, BlockStore, Layer, SimStore, StoreBackend};
 
 /// Small geometry so FileJournal-backed cases stay cheap.
 fn config() -> FsConfig {
@@ -47,59 +47,78 @@ fn matrix(tag: &str) -> (Vec<MatrixEntry>, std::path::PathBuf) {
     let blocks = config().total_blocks;
     let mut out: Vec<MatrixEntry> = Vec::new();
     for backend in [
-        StoreBackend::FileJournal {
+        StoreBackend::from(Base::File {
             dir: base.join("file"),
-        },
-        StoreBackend::DedupPersistent {
-            dir: base.join("dedup"),
-        },
-        StoreBackend::EncryptedJournal {
-            dir: base.join("enc"),
-            key: [0x17; 32],
+        }),
+        StoreBackend::from(Base::Dedup {
+            dir: Some(base.join("dedup")),
+        }),
+        StoreBackend {
+            base: Base::File {
+                dir: base.join("enc"),
+            },
+            layers: vec![Layer::Encrypted { key: [0x17; 32] }],
         },
         // Wrapper compositions: the cache is deliberately smaller than
         // the volume so evictions and write-backs fire mid-life.
-        StoreBackend::Cached {
-            capacity: 32,
-            inner: Box::new(StoreBackend::FileJournal {
+        StoreBackend {
+            base: Base::File {
                 dir: base.join("cached"),
-            }),
+            },
+            layers: vec![Layer::Cached {
+                capacity: 32,
+                readahead: 0,
+            }],
         },
-        StoreBackend::Sharded {
-            shards: 4,
-            workers: false,
-            inner: Box::new(StoreBackend::FileJournal {
+        StoreBackend {
+            base: Base::File {
                 dir: base.join("sharded"),
-            }),
+            },
+            layers: vec![Layer::Sharded {
+                shards: 4,
+                workers: false,
+            }],
         },
         // The parallel I/O engine: per-shard worker threads, alone and
         // under a write-back cache — persistence must be unchanged.
-        StoreBackend::Sharded {
-            shards: 4,
-            workers: true,
-            inner: Box::new(StoreBackend::FileJournal {
+        StoreBackend {
+            base: Base::File {
                 dir: base.join("sharded-workers"),
-            }),
-        },
-        StoreBackend::Cached {
-            capacity: 32,
-            inner: Box::new(StoreBackend::Sharded {
-                shards: 3,
-                workers: false,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: base.join("cached-sharded"),
-                }),
-            }),
-        },
-        StoreBackend::Cached {
-            capacity: 32,
-            inner: Box::new(StoreBackend::Sharded {
-                shards: 3,
+            },
+            layers: vec![Layer::Sharded {
+                shards: 4,
                 workers: true,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: base.join("cached-sharded-workers"),
-                }),
-            }),
+            }],
+        },
+        StoreBackend {
+            base: Base::File {
+                dir: base.join("cached-sharded"),
+            },
+            layers: vec![
+                Layer::Sharded {
+                    shards: 3,
+                    workers: false,
+                },
+                Layer::Cached {
+                    capacity: 32,
+                    readahead: 0,
+                },
+            ],
+        },
+        StoreBackend {
+            base: Base::File {
+                dir: base.join("cached-sharded-workers"),
+            },
+            layers: vec![
+                Layer::Sharded {
+                    shards: 3,
+                    workers: true,
+                },
+                Layer::Cached {
+                    capacity: 32,
+                    readahead: 0,
+                },
+            ],
         },
     ] {
         out.push((
@@ -108,7 +127,10 @@ fn matrix(tag: &str) -> (Vec<MatrixEntry>, std::path::PathBuf) {
             Reopen::Backend(backend),
         ));
     }
-    for backend in [StoreBackend::SimInstant, StoreBackend::Dedup] {
+    for backend in [
+        StoreBackend::from(Base::Sim { timed: false }),
+        StoreBackend::from(Base::Dedup { dir: None }),
+    ] {
         let store = backend.build(&clock, blocks);
         out.push((
             format!("{}-remount", backend.label()),
@@ -284,15 +306,16 @@ fn mount_refuses_a_volume_larger_than_its_disk() {
 #[test]
 fn open_or_format_formats_fresh_then_mounts_existing() {
     let dir = store::temp_dir_for_tests("open-or-format");
-    let backend = StoreBackend::FileJournal { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::File { dir: dir.clone() });
     let clock = SimClock::new();
     {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let ino = fs.create(fs.root(), "keep.dat", 0o644, 0, 0).unwrap();
         fs.write(ino, 0, b"first life").unwrap();
         fs.sync().unwrap();
     }
-    let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+    let fs = Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
     let ino = fs.resolve_path("keep.dat").expect("file survives reopen");
     assert_eq!(fs.read(ino, 0, 32).unwrap(), b"first life");
     fs.check().unwrap();
@@ -305,10 +328,11 @@ fn unclean_shutdown_mounts_through_recovery_sweep() {
     // mount must take the recovery path — and still find every file,
     // because the write-ahead journal replays complete records.
     let dir = store::temp_dir_for_tests("unclean");
-    let backend = StoreBackend::FileJournal { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::File { dir: dir.clone() });
     let clock = SimClock::new();
     {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let root = fs.root();
         let d = fs.mkdir(root, "docs", 0o755, 0, 0).unwrap();
         let a = fs.create(d, "a.txt", 0o644, 0, 0).unwrap();
@@ -318,7 +342,7 @@ fn unclean_shutdown_mounts_through_recovery_sweep() {
         fs.link(b, d, "b-link").unwrap();
         // Dropped without sync: "crash".
     }
-    let fs = Ffs::mount_backend(&backend, &clock, config()).unwrap();
+    let fs = Ffs::mount_on(backend.build(&clock, config().total_blocks)).unwrap();
     fs.check().unwrap();
     assert_eq!(
         fs.read(fs.resolve_path("docs/a.txt").unwrap(), 0, usize::MAX >> 1)
@@ -341,16 +365,17 @@ fn handles_and_generations_survive_remount() {
     // reboot — that is what lets DisCFS credentials outlive the server
     // process.
     let dir = store::temp_dir_for_tests("handles");
-    let backend = StoreBackend::FileJournal { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::File { dir: dir.clone() });
     let clock = SimClock::new();
     let (ino, generation) = {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let ino = fs.create(fs.root(), "h.dat", 0o644, 0, 0).unwrap();
         let generation = fs.getattr(ino).unwrap().generation;
         fs.sync().unwrap();
         (ino, generation)
     };
-    let fs = Ffs::mount_backend(&backend, &clock, config()).unwrap();
+    let fs = Ffs::mount_on(backend.build(&clock, config().total_blocks)).unwrap();
     fs.validate_handle(ino, generation)
         .expect("handle valid after remount");
     std::fs::remove_dir_all(&dir).ok();
@@ -359,10 +384,13 @@ fn handles_and_generations_survive_remount() {
 #[test]
 fn dedup_stats_survive_reopen_through_the_filesystem() {
     let dir = store::temp_dir_for_tests("dedup-fs");
-    let backend = StoreBackend::DedupPersistent { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::Dedup {
+        dir: Some(dir.clone()),
+    });
     let clock = SimClock::new();
     let hits_before = {
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let block = vec![0xABu8; ffs::BLOCK_SIZE];
         for i in 0..6 {
             let ino = fs
@@ -378,7 +406,7 @@ fn dedup_stats_survive_reopen_through_the_filesystem() {
         );
         stats.dedup_hits
     };
-    let fs = Ffs::mount_backend(&backend, &clock, config()).unwrap();
+    let fs = Ffs::mount_on(backend.build(&clock, config().total_blocks)).unwrap();
     let stats = fs.disk().stats();
     assert_eq!(
         stats.dedup_hits, hits_before,
@@ -394,21 +422,22 @@ fn encrypted_journal_requires_the_same_key() {
     let dir = store::temp_dir_for_tests("enc-key");
     let clock = SimClock::new();
     {
-        let backend = StoreBackend::EncryptedJournal {
-            dir: dir.clone(),
-            key: [1; 32],
+        let backend = StoreBackend {
+            base: Base::File { dir: dir.clone() },
+            layers: vec![Layer::Encrypted { key: [1; 32] }],
         };
-        let fs = Ffs::open_or_format_backend(&backend, &clock, config()).unwrap();
+        let fs =
+            Ffs::open_or_format(backend.build(&clock, config().total_blocks), config()).unwrap();
         let ino = fs.create(fs.root(), "secret.dat", 0o644, 0, 0).unwrap();
         fs.write(ino, 0, b"classified").unwrap();
         fs.sync().unwrap();
     }
     // Right key: mounts and reads.
-    let good = StoreBackend::EncryptedJournal {
-        dir: dir.clone(),
-        key: [1; 32],
+    let good = StoreBackend {
+        base: Base::File { dir: dir.clone() },
+        layers: vec![Layer::Encrypted { key: [1; 32] }],
     };
-    let fs = Ffs::mount_backend(&good, &clock, config()).unwrap();
+    let fs = Ffs::mount_on(good.build(&clock, config().total_blocks)).unwrap();
     assert_eq!(
         fs.read(fs.resolve_path("secret.dat").unwrap(), 0, 16)
             .unwrap(),
@@ -417,20 +446,20 @@ fn encrypted_journal_requires_the_same_key() {
     drop(fs);
     // Wrong key: the superblock decrypts to noise and the mount fails
     // closed instead of serving garbage.
-    let bad = StoreBackend::EncryptedJournal {
-        dir: dir.clone(),
-        key: [2; 32],
+    let bad = StoreBackend {
+        base: Base::File { dir: dir.clone() },
+        layers: vec![Layer::Encrypted { key: [2; 32] }],
     };
-    assert!(Ffs::mount_backend(&bad, &clock, config()).is_err());
+    assert!(Ffs::mount_on(bad.build(&clock, config().total_blocks)).is_err());
     // open_or_format with the wrong key must ALSO fail closed: noise
     // is not a virgin store, so it must never format (= destroy) the
     // volume just because the superblock did not decrypt.
     assert!(matches!(
-        Ffs::open_or_format_backend(&bad, &clock, config()),
+        Ffs::open_or_format(bad.build(&clock, config().total_blocks), config()),
         Err(MountError::CorruptVolume(_))
     ));
     // The volume is untouched: the right key still mounts and reads.
-    let fs = Ffs::mount_backend(&good, &clock, config()).unwrap();
+    let fs = Ffs::mount_on(good.build(&clock, config().total_blocks)).unwrap();
     assert_eq!(
         fs.read(fs.resolve_path("secret.dat").unwrap(), 0, 16)
             .unwrap(),
@@ -481,7 +510,10 @@ fn sync_traffic_does_not_skew_dedup_workload_stats() {
     // they must be stored but not counted, or a sync-heavy run would
     // report a dedup ratio driven by its own bookkeeping.
     let clock = SimClock::new();
-    let fs = Ffs::format_backend(&StoreBackend::Dedup, &clock, config());
+    let fs = Ffs::format_on(
+        StoreBackend::from(Base::Dedup { dir: None }).build(&clock, config().total_blocks),
+        config(),
+    );
     let ino = fs.create(fs.root(), "data.dat", 0o644, 0, 0).unwrap();
     fs.write(ino, 0, &content(5, 10)).unwrap();
     fs.sync().unwrap();

@@ -8,7 +8,8 @@
 //! exactly like `cfs::CfsCipher` does for file offsets.
 //!
 //! Composes with any inner backend. Note that wrapping [`DedupStore`]
-//! (the [`StoreBackend::DedupEncrypted`](crate::StoreBackend) preset)
+//! (a [`Base::Dedup`](crate::Base::Dedup) stack under
+//! [`Layer::Encrypted`](crate::Layer::Encrypted))
 //! deduplicates *plaintext at the logical layer below us*: the inner
 //! store sees ciphertext, and because the keystream is per-block,
 //! equal plaintexts at different block numbers produce distinct

@@ -3,11 +3,12 @@
 //! The paper's DisCFS prototype kept files on one local disk. This
 //! crate turns the storage layer into an abstraction the rest of the
 //! stack programs against: a [`BlockStore`] trait for 8 KB
-//! block-addressed devices, four base backends, and three composable
-//! wrappers spanning the design space the ROADMAP's production
-//! north-star needs.
+//! block-addressed devices, three base stores, four wrappers that
+//! compose over any store, and a network tier of remote and
+//! replicated nodes. A [`StoreBackend`] describes a whole stack as
+//! data (see *Describing a stack* below).
 //!
-//! # Base backends
+//! # Base stores
 //!
 //! * [`SimStore`] — the original simulated timing-model disk
 //!   (seek/rotation/transfer charged to a shared [`netsim::SimClock`]);
@@ -25,12 +26,12 @@
 //!   much of the write stream was absorbed. [`DedupStore::open`]
 //!   attaches a snapshot file so the chunk table (and its stats)
 //!   survives a restart.
-//! * [`EncryptedStore`] — an encrypted-at-rest wrapper over any other
-//!   backend, using the same ChaCha20 + HMAC-SHA256 key-derivation
-//!   construction as the CFS cipher.
 //!
 //! # Wrappers
 //!
+//! * [`EncryptedStore`] — encryption-at-rest over any other store,
+//!   using the same ChaCha20 + HMAC-SHA256 key-derivation
+//!   construction as the CFS cipher.
 //! * [`CachedStore`] — a sharded write-back LRU buffer cache over any
 //!   backend: repeated reads are served from memory as cheap handle
 //!   clones, writes are held dirty until `flush`/eviction, and the
@@ -72,8 +73,8 @@
 //!   under shard read locks) and misses (fetched from the inner store
 //!   in **one** vectored call, then inserted clean). It also carries
 //!   the engine's *sequential readahead*: a configurable window
-//!   ([`CachedStore::with_readahead`] /
-//!   [`StoreBackend::CachedReadahead`]) is prefetched — vectored —
+//!   ([`CachedStore::with_readahead`] / [`Layer::Cached`]'s
+//!   `readahead`) is prefetched — vectored —
 //!   from the inner store once an ascending stride is detected,
 //!   counted by [`StoreStats::readahead_blocks`].
 //! * [`TimedStore`] charges a contiguous ascending run as **one**
@@ -83,8 +84,8 @@
 //!   equal access patterns; only non-contiguous jumps pay more seeks.
 //! * [`ShardedStore`] partitions the block list by shard and — with
 //!   the optional **per-shard worker threads**
-//!   ([`ShardedStore::with_workers`] / `StoreBackend::Sharded {
-//!   workers: true, .. }`) — submits one job per involved shard to a
+//!   ([`ShardedStore::with_workers`] / `Layer::Sharded { workers:
+//!   true, .. }`) — submits one job per involved shard to a
 //!   bounded submission queue and joins the replies, so a *single*
 //!   client's streaming burst drives every shard concurrently.
 //!   Workers drain their queues on `flush` (the flush job is FIFO
@@ -109,10 +110,10 @@
 //!   one simulated storage node per server thread.
 //! * [`RemoteStore`] is the client: a [`BlockStore`] whose every call
 //!   is an RPC (vectored calls are single round-trips), with per-node
-//!   timeout/retry and a **dead-node latch** once the link fails. The
-//!   [`StoreBackend::Remote`] preset composes it under the cache and
-//!   sharding wrappers — `Cached { Sharded { Remote } }` is a buffer
-//!   cache over a striped set of network nodes.
+//!   timeout/retry and a **dead-node latch** once the link fails.
+//!   [`Layer::Remote`] composes it under the cache and sharding
+//!   wrappers — layers `[Remote, Sharded, Cached]` are a buffer cache
+//!   over a striped set of network nodes.
 //! * [`ReplicatedStore`] stripes one volume R-way across N nodes with
 //!   **epoch-stamped commits**: each flush lands on every node as one
 //!   journaled durability unit whose last record stamps the new
@@ -122,8 +123,8 @@
 //!   new shards. A node death is detected on the failing RPC, reads
 //!   fail over to the nearest live replica
 //!   ([`StoreStats::replica_reads`]), and the dead node's replica set
-//!   is rebuilt onto a spare ([`StoreStats::rebuilds`]). The
-//!   [`StoreBackend::Replicated`] preset builds the whole fleet.
+//!   is rebuilt onto a spare ([`StoreStats::rebuilds`]).
+//!   [`Layer::Replicated`] builds the whole fleet.
 //!
 //! Wire traffic shows up in the stats ([`StoreStats::rpc_calls`],
 //! [`StoreStats::bytes_on_wire`], [`StoreStats::retries`]) and is
@@ -181,7 +182,7 @@
 //!
 //! - **Who may write:** any client whose stamped token is ≥ the node's
 //!   granted token. Token 0 vs token 0 is the unleased legacy mode —
-//!   single-coordinator presets never touch leases and keep working.
+//!   single-coordinator stacks never touch leases and keep working.
 //! - **What bumps the token:** only a *fresh* grant through
 //!   [`RemoteStore::try_acquire_lease`] — first lease, takeover, or
 //!   post-expiry re-acquisition. The node's counter is monotonic for
@@ -209,12 +210,68 @@
 //! read-repair through the rebuild queue, counted as
 //! [`StoreStats::read_repairs`].
 //!
-//! Backend choice is threaded through the stack as a [`StoreBackend`]
-//! value (`ffs::Ffs::format_backend`, `discfs::Testbed::with_backend`,
-//! `bench_harness::build_world_on`), so benchmarks can compare
-//! backends without touching filesystem code. Wrapper presets nest:
-//! `StoreBackend::Cached { inner: Box::new(StoreBackend::Sharded {
-//! .. }), .. }` builds a buffer cache over a sharded volume.
+//! # Describing a stack
+//!
+//! A [`StoreBackend`] names a whole stack as data, so
+//! `discfs::Testbed::with_backend` and the benchmark harness
+//! (`bench_harness::build_world_on`) can compare stacks without
+//! touching filesystem code. It is one [`Base`] plus a list of
+//! [`Layer`]s, **bottom-up** — each layer wraps everything listed
+//! before it:
+//!
+//! ```text
+//! stack := base [layer, ...]
+//! base  := Sim { timed } | File { dir } | Dedup { dir: Option }
+//! layer := Encrypted { key }
+//!        | Cached { capacity, readahead }        (readahead 0 = off)
+//!        | Timed
+//!        | Sharded { shards, workers }           copies below: shard-i
+//!        | Remote { ethernet, opts }             copy below:   node
+//!        | Replicated { nodes, replicas, spares, ethernet, opts }
+//!                                                copies below: node-i, spare-i
+//! ```
+//!
+//! [`StoreBackend::build`] is the one place a description becomes
+//! stores. The fan-out layers (`Sharded`, `Remote`, `Replicated`)
+//! build the stack below them once per shard or node, and a
+//! persistent base (`File`, or `Dedup` with a `dir`) gets one
+//! subdirectory per copy, named as above and nested in layer order.
+//! Whether a stack survives a rebuild
+//! ([`StoreBackend::is_persistent`]) depends on its base alone. A
+//! stack's label is its top layer's (its base's when it has none).
+//!
+//! Common stacks: an encrypted journaled volume is `File` under
+//! `[Encrypted]`; an encrypted dedup store is `Dedup { dir: None }`
+//! under `[Encrypted]`; a production-shaped server volume is `File`
+//! under `[Sharded, Cached]`; a buffer cache over a replicated fleet
+//! is `Sim { timed: true }` under `[Replicated { .. }, Cached { .. }]`.
+//! A bare base converts with `From`:
+//!
+//! ```
+//! use netsim::SimClock;
+//! use store::{Base, BlockStore, Layer, StoreBackend};
+//!
+//! let dir = std::env::temp_dir().join(format!("store-doc-{}", std::process::id()));
+//! // A read-ahead cache over an encrypted volume striped across two
+//! // journaled shards.
+//! let spec = StoreBackend {
+//!     base: Base::File { dir: dir.clone() },
+//!     layers: vec![
+//!         Layer::Sharded { shards: 2, workers: false },
+//!         Layer::Encrypted { key: [7; 32] },
+//!         Layer::Cached { capacity: 64, readahead: 8 },
+//!     ],
+//! };
+//! assert!(spec.is_persistent());
+//! let store = spec.build(&SimClock::new(), 128);
+//! assert_eq!(store.label(), "cached");
+//! assert!(dir.join("shard-1").join("journal.wal").exists());
+//! drop(store);
+//! std::fs::remove_dir_all(&dir).ok();
+//!
+//! let in_memory: StoreBackend = Base::Dedup { dir: None }.into();
+//! assert!(!in_memory.is_persistent());
+//! ```
 //!
 //! # Example
 //!
@@ -582,101 +639,93 @@ macro_rules! forward_block_store {
 
 forward_block_store!(Arc<S>, Box<S>, &'_ S);
 
-/// Declarative backend selection, threaded through `ffs`, `discfs`
-/// and the benchmark harness.
+/// A declarative block-store stack: the [`Base`] the blocks live on
+/// plus the [`Layer`]s wrapped over it, listed **bottom-up** (the last
+/// layer is the one the filesystem talks to). Threaded through `ffs`,
+/// `discfs` and the benchmark harness; see the crate docs,
+/// *Describing a stack*, for the grammar.
 #[derive(Debug, Clone)]
-pub enum StoreBackend {
-    /// In-memory store charging the paper's disk timing model to the
-    /// shared clock.
-    SimTimed,
-    /// In-memory store with no timing (fast unit tests).
-    SimInstant,
-    /// Persistent file-backed store with a write-ahead journal rooted
-    /// at the given directory.
-    ///
-    /// Block-level persistence: journaled writes survive a crash and
-    /// replay on the next open. A volume formatted here reopens with
-    /// its files intact through `ffs::Ffs::mount_on` /
-    /// `Ffs::open_or_format` (the `format_*` paths refuse to clobber
-    /// an existing volume).
-    FileJournal {
+pub struct StoreBackend {
+    /// Where the blocks finally live.
+    pub base: Base,
+    /// Wrappers over the base, innermost first.
+    pub layers: Vec<Layer>,
+}
+
+/// The bottom of a [`StoreBackend`] stack.
+#[derive(Debug, Clone)]
+pub enum Base {
+    /// In-memory [`SimStore`]; `timed` charges the paper's Quantum
+    /// Fireball disk model to the shared clock, otherwise it is
+    /// instant (fast unit tests).
+    Sim {
+        /// Charge the paper's disk timing model.
+        timed: bool,
+    },
+    /// Persistent [`FileStore`] with a write-ahead journal: journaled
+    /// writes survive a crash and replay on the next open, and a
+    /// volume formatted here reopens with its files intact through
+    /// `ffs::Ffs::mount_on` / `Ffs::open_or_format` (the `format_*`
+    /// paths refuse to clobber an existing volume).
+    File {
         /// Directory holding `blocks.dat` and `journal.wal`.
         dir: PathBuf,
     },
-    /// In-memory content-addressed deduplicating store.
-    Dedup,
-    /// Persistent dedup store: the chunk table is snapshotted to
-    /// `dedup.snap` in the directory on every flush and restored on
-    /// reopen (see [`DedupStore::open`]).
-    DedupPersistent {
-        /// Directory holding `dedup.snap`.
-        dir: PathBuf,
+    /// Content-addressed deduplicating [`DedupStore`]. With a `dir`,
+    /// the chunk table is snapshotted to `dedup.snap` there on every
+    /// flush and restored on reopen (see [`DedupStore::open`]).
+    Dedup {
+        /// Directory holding `dedup.snap`; `None` keeps it in memory.
+        dir: Option<PathBuf>,
     },
-    /// In-memory dedup store wrapped in encryption-at-rest with this
-    /// key.
-    DedupEncrypted {
+}
+
+/// One wrapper in a [`StoreBackend`] stack, applied over everything
+/// listed before it. The fan-out layers (`Sharded`, `Remote`,
+/// `Replicated`) build the stack below them once per shard or node,
+/// each persistent base under its own subdirectory.
+#[derive(Debug, Clone)]
+pub enum Layer {
+    /// Encryption-at-rest ([`EncryptedStore`]): blocks are
+    /// ChaCha20-encrypted before they reach the layer below. A volume
+    /// reopens with the same key; a different key reads keystream
+    /// noise.
+    Encrypted {
         /// Master key; per-purpose subkeys are derived from it.
         key: [u8; 32],
     },
-    /// Encrypted-at-rest journaled file store: a persistent
-    /// [`FileStore`] whose blocks are ChaCha20-encrypted before they
-    /// touch the journal or data file. The volume reopens with the
-    /// same key; a different key reads keystream noise.
-    EncryptedJournal {
-        /// Directory holding `blocks.dat` and `journal.wal`.
-        dir: PathBuf,
-        /// Master key; per-purpose subkeys are derived from it.
-        key: [u8; 32],
-    },
-    /// A write-back buffer cache ([`CachedStore`]) over any inner
-    /// backend: hot reads become handle clones, repeated writes are
-    /// absorbed until the next flush.
+    /// A write-back buffer cache ([`CachedStore`]): hot reads become
+    /// handle clones, repeated writes are absorbed until the next
+    /// flush.
     Cached {
         /// Cache capacity in blocks.
         capacity: usize,
-        /// The wrapped backend.
-        inner: Box<StoreBackend>,
+        /// Sequential readahead window in blocks (0 disables it): once
+        /// an ascending stride is detected on the scalar read path,
+        /// the next `readahead` blocks are prefetched in one vectored
+        /// call ([`StoreStats::readahead_blocks`] counts them).
+        readahead: usize,
     },
-    /// A [`CachedStore`] with sequential readahead: once an ascending
-    /// stride is detected on the scalar read path, the next `window`
-    /// blocks are prefetched from the inner backend in one vectored
-    /// call ([`StoreStats::readahead_blocks`] counts them). Otherwise
-    /// identical to [`StoreBackend::Cached`].
-    CachedReadahead {
-        /// Cache capacity in blocks.
-        capacity: usize,
-        /// Readahead window in blocks (0 disables readahead).
-        window: usize,
-        /// The wrapped backend.
-        inner: Box<StoreBackend>,
-    },
-    /// One volume striped across N instances of the inner backend
-    /// ([`ShardedStore`]): block `i` lives on shard `i % shards`,
-    /// each shard has its own lock, and flushes run in parallel.
-    /// Persistent inner backends get per-shard subdirectories
-    /// (`shard-0`, `shard-1`, …).
+    /// One volume striped across N copies of the stack below
+    /// ([`ShardedStore`]): block `i` lives on shard `i % shards`, each
+    /// shard has its own lock, and flushes run in parallel. Shard `i`
+    /// lives in `shard-i`.
     Sharded {
-        /// Number of shards (inner store instances).
+        /// Number of shards.
         shards: u32,
         /// Spawn one worker thread per shard with a bounded submission
         /// queue: vectored calls then fan out one job per involved
         /// shard and join, so a single client's burst drives all
         /// shards concurrently (see [`ShardedStore::with_workers`]).
         workers: bool,
-        /// The backend each shard is built from.
-        inner: Box<StoreBackend>,
     },
-    /// The paper's disk timing model charged on top of any inner
-    /// backend ([`TimedStore`]) — virtual-time figures for persistent
-    /// backends, not just the sim store.
-    Timed {
-        /// The wrapped backend.
-        inner: Box<StoreBackend>,
-    },
-    /// The inner backend served from a [`BlockServer`] thread behind a
-    /// simulated network link, accessed through a [`RemoteStore`]
-    /// client — one storage node, so caching/sharding presets compose
-    /// over the network exactly as they do locally.
+    /// The paper's disk timing model charged over the stack below
+    /// ([`TimedStore`]), so virtual-time figures can compare
+    /// persistent backends.
+    Timed,
+    /// The stack below served from a [`BlockServer`] thread behind a
+    /// simulated link, reached through a [`RemoteStore`] client — one
+    /// storage node, living in `node`.
     Remote {
         /// Charge the paper's 100 Mbps Ethernet timing on the link
         /// (`false` = an instant link for correctness tests).
@@ -684,15 +733,12 @@ pub enum StoreBackend {
         /// Timeout/backoff/deadline policy for the client
         /// ([`RemoteOptions::default`] for the stock schedule).
         opts: RemoteOptions,
-        /// The backend the node serves. Persistent inners get a
-        /// `node` subdirectory.
-        inner: Box<StoreBackend>,
     },
     /// One volume replicated R-way across N [`RemoteStore`] nodes
-    /// (plus idle spares) with epoch-stamped commits and
-    /// rebuild-onto-spare after a node death ([`ReplicatedStore`]).
-    /// Persistent inners get per-node subdirectories (`node-0`, …,
-    /// `spare-0`, …).
+    /// (plus idle spares), each serving its own copy of the stack
+    /// below, with epoch-stamped commits and rebuild-onto-spare after
+    /// a node death ([`ReplicatedStore`]). Nodes live in `node-i`,
+    /// spares in `spare-i`.
     Replicated {
         /// Number of storage nodes.
         nodes: u32,
@@ -705,239 +751,167 @@ pub enum StoreBackend {
         /// Timeout/backoff/deadline policy shared by every node's
         /// client ([`RemoteOptions::default`] for the stock schedule).
         opts: RemoteOptions,
-        /// The backend each node serves.
-        inner: Box<StoreBackend>,
     },
 }
 
-impl StoreBackend {
-    /// Builds the backend, attaching timing-model backends to `clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a [`StoreBackend::FileJournal`] directory cannot be
-    /// created or opened — backend construction happens at format time
-    /// where the caller cannot continue anyway — or when a
-    /// [`StoreBackend::Sharded`] asks for zero shards.
-    pub fn build(&self, clock: &SimClock, block_count: u64) -> Arc<dyn BlockStore> {
-        match self {
-            StoreBackend::SimTimed => Arc::new(SimStore::new(
-                clock,
-                DiskModel::quantum_fireball_ct10(),
-                block_count,
-            )),
-            StoreBackend::SimInstant => {
-                Arc::new(SimStore::new(clock, DiskModel::instant(), block_count))
-            }
-            StoreBackend::FileJournal { dir } => {
-                Arc::new(FileStore::open(dir, block_count).expect("open file-backed block store"))
-            }
-            StoreBackend::Dedup => Arc::new(DedupStore::new(block_count)),
-            StoreBackend::DedupPersistent { dir } => {
-                Arc::new(DedupStore::open(dir, block_count).expect("open persistent dedup store"))
-            }
-            StoreBackend::DedupEncrypted { key } => {
-                Arc::new(EncryptedStore::new(DedupStore::new(block_count), key))
-            }
-            StoreBackend::EncryptedJournal { dir, key } => Arc::new(EncryptedStore::new(
-                FileStore::open(dir, block_count).expect("open file-backed block store"),
-                key,
-            )),
-            StoreBackend::Cached { capacity, inner } => {
-                Arc::new(CachedStore::new(inner.build(clock, block_count), *capacity))
-            }
-            StoreBackend::CachedReadahead {
-                capacity,
-                window,
-                inner,
-            } => Arc::new(CachedStore::with_readahead(
-                inner.build(clock, block_count),
-                *capacity,
-                *window,
-            )),
-            StoreBackend::Sharded {
-                shards,
-                workers,
-                inner,
-            } => {
-                assert!(*shards > 0, "sharded store needs at least one shard");
-                let per_shard = block_count.div_ceil(*shards as u64);
-                let stores: Vec<Arc<dyn BlockStore>> = (0..*shards)
-                    .map(|i| {
-                        inner
-                            .with_subdir(&format!("shard-{i}"))
-                            .build(clock, per_shard)
-                    })
-                    .collect();
-                if *workers {
-                    Arc::new(ShardedStore::with_workers(stores, block_count))
-                } else {
-                    Arc::new(ShardedStore::new(stores, block_count))
-                }
-            }
-            StoreBackend::Timed { inner } => Arc::new(TimedStore::new(
-                inner.build(clock, block_count),
-                clock,
-                DiskModel::quantum_fireball_ct10(),
-            )),
-            StoreBackend::Remote {
-                ethernet,
-                opts,
-                inner,
-            } => {
-                let node = inner.with_subdir("node").build(clock, block_count);
-                Arc::new(RemoteStore::serve_local(
-                    node,
-                    clock,
-                    link_config(*ethernet),
-                    *opts,
-                ))
-            }
-            StoreBackend::Replicated {
-                nodes,
-                replicas,
-                spares,
-                ethernet,
-                opts,
-                inner,
-            } => {
-                assert!(*nodes > 0, "replicated store needs at least one node");
-                let node_bc = ReplicatedStore::node_block_count(
-                    block_count,
-                    *nodes as usize,
-                    *replicas as usize,
-                );
-                let serve = |spec: StoreBackend| {
-                    RemoteStore::serve_local(
-                        spec.build(clock, node_bc),
-                        clock,
-                        link_config(*ethernet),
-                        *opts,
-                    )
-                };
-                let node_stores: Vec<RemoteStore> = (0..*nodes)
-                    .map(|i| serve(inner.with_subdir(&format!("node-{i}"))))
-                    .collect();
-                let spare_stores: Vec<RemoteStore> = (0..*spares)
-                    .map(|i| serve(inner.with_subdir(&format!("spare-{i}"))))
-                    .collect();
-                Arc::new(ReplicatedStore::new(
-                    node_stores,
-                    spare_stores,
-                    block_count,
-                    *replicas as usize,
-                ))
-            }
-        }
-    }
-
-    /// A copy of this spec with every persistence directory pushed
-    /// down into `name` — how [`StoreBackend::Sharded`] gives each
-    /// shard of a persistent backend its own subdirectory.
-    pub fn with_subdir(&self, name: &str) -> StoreBackend {
-        match self {
-            StoreBackend::FileJournal { dir } => StoreBackend::FileJournal {
-                dir: dir.join(name),
-            },
-            StoreBackend::DedupPersistent { dir } => StoreBackend::DedupPersistent {
-                dir: dir.join(name),
-            },
-            StoreBackend::EncryptedJournal { dir, key } => StoreBackend::EncryptedJournal {
-                dir: dir.join(name),
-                key: *key,
-            },
-            StoreBackend::Cached { capacity, inner } => StoreBackend::Cached {
-                capacity: *capacity,
-                inner: Box::new(inner.with_subdir(name)),
-            },
-            StoreBackend::CachedReadahead {
-                capacity,
-                window,
-                inner,
-            } => StoreBackend::CachedReadahead {
-                capacity: *capacity,
-                window: *window,
-                inner: Box::new(inner.with_subdir(name)),
-            },
-            StoreBackend::Sharded {
-                shards,
-                workers,
-                inner,
-            } => StoreBackend::Sharded {
-                shards: *shards,
-                workers: *workers,
-                inner: Box::new(inner.with_subdir(name)),
-            },
-            StoreBackend::Timed { inner } => StoreBackend::Timed {
-                inner: Box::new(inner.with_subdir(name)),
-            },
-            StoreBackend::Remote {
-                ethernet,
-                opts,
-                inner,
-            } => StoreBackend::Remote {
-                ethernet: *ethernet,
-                opts: *opts,
-                inner: Box::new(inner.with_subdir(name)),
-            },
-            StoreBackend::Replicated {
-                nodes,
-                replicas,
-                spares,
-                ethernet,
-                opts,
-                inner,
-            } => StoreBackend::Replicated {
-                nodes: *nodes,
-                replicas: *replicas,
-                spares: *spares,
-                ethernet: *ethernet,
-                opts: *opts,
-                inner: Box::new(inner.with_subdir(name)),
-            },
-            other => other.clone(),
-        }
-    }
-
-    /// Whether stores built from this backend keep their contents
-    /// across a rebuild (i.e. state lives on the filesystem, not in
-    /// the store object).
-    pub fn is_persistent(&self) -> bool {
-        match self {
-            StoreBackend::FileJournal { .. }
-            | StoreBackend::DedupPersistent { .. }
-            | StoreBackend::EncryptedJournal { .. } => true,
-            StoreBackend::Cached { inner, .. }
-            | StoreBackend::CachedReadahead { inner, .. }
-            | StoreBackend::Sharded { inner, .. }
-            | StoreBackend::Timed { inner }
-            | StoreBackend::Remote { inner, .. }
-            | StoreBackend::Replicated { inner, .. } => inner.is_persistent(),
-            _ => false,
-        }
-    }
-
-    /// Backend label without building it.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StoreBackend::SimTimed => "sim-timed",
-            StoreBackend::SimInstant => "sim-instant",
-            StoreBackend::FileJournal { .. } => "file-journal",
-            StoreBackend::Dedup => "dedup",
-            StoreBackend::DedupPersistent { .. } => "dedup-persistent",
-            StoreBackend::DedupEncrypted { .. } => "dedup-encrypted",
-            StoreBackend::EncryptedJournal { .. } => "encrypted-journal",
-            StoreBackend::Cached { .. } => "cached",
-            StoreBackend::CachedReadahead { .. } => "cached-readahead",
-            StoreBackend::Sharded { .. } => "sharded",
-            StoreBackend::Timed { .. } => "timed",
-            StoreBackend::Remote { .. } => "remote",
-            StoreBackend::Replicated { .. } => "replicated",
+impl From<Base> for StoreBackend {
+    /// The bare base, with no layers.
+    fn from(base: Base) -> StoreBackend {
+        StoreBackend {
+            base,
+            layers: Vec::new(),
         }
     }
 }
 
-/// Link parameters for the network-backed presets.
+impl StoreBackend {
+    /// Builds the stack, attaching timing-model stores to `clock`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a persistent base's directory cannot be created or
+    /// opened — backend construction happens at format time where the
+    /// caller cannot continue anyway — or when a fan-out layer asks
+    /// for zero shards or nodes.
+    pub fn build(&self, clock: &SimClock, block_count: u64) -> Arc<dyn BlockStore> {
+        build_stack(&self.base, &self.layers, clock, block_count)
+    }
+
+    /// Whether stores built from this stack keep their contents
+    /// across a rebuild (i.e. state lives on the filesystem, not in
+    /// the store object).
+    pub fn is_persistent(&self) -> bool {
+        matches!(self.base, Base::File { .. } | Base::Dedup { dir: Some(_) })
+    }
+
+    /// The label of the stack's top store, without building it.
+    pub fn label(&self) -> &'static str {
+        match (self.layers.last(), &self.base) {
+            (Some(Layer::Encrypted { .. }), _) => "encrypted",
+            (Some(Layer::Cached { .. }), _) => "cached",
+            (Some(Layer::Sharded { .. }), _) => "sharded",
+            (Some(Layer::Timed), _) => "timed",
+            (Some(Layer::Remote { .. }), _) => "remote",
+            (Some(Layer::Replicated { .. }), _) => "replicated",
+            (None, Base::Sim { timed: true }) => "sim-timed",
+            (None, Base::Sim { timed: false }) => "sim-instant",
+            (None, Base::File { .. }) => "file-journal",
+            (None, Base::Dedup { dir: None }) => "dedup",
+            (None, Base::Dedup { dir: Some(_) }) => "dedup-persistent",
+        }
+    }
+}
+
+impl Base {
+    /// This base with its persistence directory pushed down into
+    /// `name` — how a fan-out layer gives each shard or node its own
+    /// subdirectory. In-memory bases are unchanged.
+    fn with_subdir(&self, name: &str) -> Base {
+        match self {
+            Base::File { dir } => Base::File {
+                dir: dir.join(name),
+            },
+            Base::Dedup { dir: Some(dir) } => Base::Dedup {
+                dir: Some(dir.join(name)),
+            },
+            in_memory => in_memory.clone(),
+        }
+    }
+}
+
+/// Builds `layers` (bottom-up) over `base`: the top layer wraps what
+/// the layers below it build, and a fan-out layer builds them once per
+/// shard or node under that shard's or node's subdirectory.
+fn build_stack(
+    base: &Base,
+    layers: &[Layer],
+    clock: &SimClock,
+    block_count: u64,
+) -> Arc<dyn BlockStore> {
+    let Some((top, below)) = layers.split_last() else {
+        return match base {
+            Base::Sim { timed } => {
+                let model = if *timed {
+                    DiskModel::quantum_fireball_ct10()
+                } else {
+                    DiskModel::instant()
+                };
+                Arc::new(SimStore::new(clock, model, block_count))
+            }
+            Base::File { dir } => {
+                Arc::new(FileStore::open(dir, block_count).expect("open file-backed block store"))
+            }
+            Base::Dedup { dir: None } => Arc::new(DedupStore::new(block_count)),
+            Base::Dedup { dir: Some(dir) } => {
+                Arc::new(DedupStore::open(dir, block_count).expect("open persistent dedup store"))
+            }
+        };
+    };
+    let below_here = || build_stack(base, below, clock, block_count);
+    let below_in =
+        |subdir: &str, count: u64| build_stack(&base.with_subdir(subdir), below, clock, count);
+    match top {
+        Layer::Encrypted { key } => Arc::new(EncryptedStore::new(below_here(), key)),
+        Layer::Cached {
+            capacity,
+            readahead,
+        } => Arc::new(CachedStore::with_readahead(
+            below_here(),
+            *capacity,
+            *readahead,
+        )),
+        Layer::Sharded { shards, workers } => {
+            assert!(*shards > 0, "sharded store needs at least one shard");
+            let per_shard = block_count.div_ceil(*shards as u64);
+            let stores = (0..*shards)
+                .map(|i| below_in(&format!("shard-{i}"), per_shard))
+                .collect();
+            if *workers {
+                Arc::new(ShardedStore::with_workers(stores, block_count))
+            } else {
+                Arc::new(ShardedStore::new(stores, block_count))
+            }
+        }
+        Layer::Timed => Arc::new(TimedStore::new(
+            below_here(),
+            clock,
+            DiskModel::quantum_fireball_ct10(),
+        )),
+        Layer::Remote { ethernet, opts } => Arc::new(RemoteStore::serve_local(
+            below_in("node", block_count),
+            clock,
+            link_config(*ethernet),
+            *opts,
+        )),
+        Layer::Replicated {
+            nodes,
+            replicas,
+            spares,
+            ethernet,
+            opts,
+        } => {
+            assert!(*nodes > 0, "replicated store needs at least one node");
+            let node_bc =
+                ReplicatedStore::node_block_count(block_count, *nodes as usize, *replicas as usize);
+            let serve = |subdir: String| {
+                RemoteStore::serve_local(
+                    below_in(&subdir, node_bc),
+                    clock,
+                    link_config(*ethernet),
+                    *opts,
+                )
+            };
+            Arc::new(ReplicatedStore::new(
+                (0..*nodes).map(|i| serve(format!("node-{i}"))).collect(),
+                (0..*spares).map(|i| serve(format!("spare-{i}"))).collect(),
+                block_count,
+                *replicas as usize,
+            ))
+        }
+    }
+}
+
+/// Link parameters for the network layers.
 fn link_config(ethernet: bool) -> netsim::LinkConfig {
     if ethernet {
         netsim::LinkConfig::ethernet_100mbps()
@@ -950,89 +924,128 @@ fn link_config(ethernet: bool) -> netsim::LinkConfig {
 mod tests {
     use super::*;
 
+    /// Every file under `dir` as (relative path, contents), sorted.
+    fn files_under(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(at) = pending.pop() {
+            let Ok(entries) = std::fs::read_dir(&at) else {
+                continue;
+            };
+            for entry in entries {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    let contents = std::fs::read(&path).unwrap();
+                    files.push((path.strip_prefix(dir).unwrap().to_path_buf(), contents));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
     #[test]
     fn backend_builder_produces_working_stores() {
         let clock = SimClock::new();
         let dir = crate::file::temp_dir_for_tests("builder");
+        let file = |name: &str| Base::File {
+            dir: dir.join(name),
+        };
+        let remote = Layer::Remote {
+            ethernet: false,
+            opts: RemoteOptions::default(),
+        };
         let backends = [
-            StoreBackend::SimTimed,
-            StoreBackend::SimInstant,
-            StoreBackend::FileJournal {
-                dir: dir.join("file"),
+            Base::Sim { timed: true }.into(),
+            Base::Sim { timed: false }.into(),
+            file("file").into(),
+            Base::Dedup { dir: None }.into(),
+            Base::Dedup {
+                dir: Some(dir.join("dedup")),
+            }
+            .into(),
+            StoreBackend {
+                base: Base::Dedup { dir: None },
+                layers: vec![Layer::Encrypted { key: [7; 32] }],
             },
-            StoreBackend::Dedup,
-            StoreBackend::DedupPersistent {
-                dir: dir.join("dedup"),
+            StoreBackend {
+                base: file("enc"),
+                layers: vec![Layer::Encrypted { key: [8; 32] }],
             },
-            StoreBackend::DedupEncrypted { key: [7; 32] },
-            StoreBackend::EncryptedJournal {
-                dir: dir.join("enc"),
-                key: [8; 32],
+            StoreBackend {
+                base: file("cached"),
+                layers: vec![Layer::Cached {
+                    capacity: 8,
+                    readahead: 0,
+                }],
             },
-            StoreBackend::Cached {
-                capacity: 8,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("cached"),
-                }),
-            },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: false,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("sharded"),
-                }),
-            },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: true,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("sharded-workers"),
-                }),
-            },
-            StoreBackend::Timed {
-                inner: Box::new(StoreBackend::Dedup),
-            },
-            StoreBackend::Cached {
-                capacity: 8,
-                inner: Box::new(StoreBackend::Sharded {
-                    shards: 2,
+            StoreBackend {
+                base: file("sharded"),
+                layers: vec![Layer::Sharded {
+                    shards: 4,
                     workers: false,
-                    inner: Box::new(StoreBackend::SimInstant),
-                }),
+                }],
             },
-            StoreBackend::CachedReadahead {
-                capacity: 8,
-                window: 4,
-                inner: Box::new(StoreBackend::SimInstant),
+            StoreBackend {
+                base: file("sharded-workers"),
+                layers: vec![Layer::Sharded {
+                    shards: 4,
+                    workers: true,
+                }],
             },
-            StoreBackend::Remote {
-                ethernet: false,
-                opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("remote"),
-                }),
+            StoreBackend {
+                base: Base::Dedup { dir: None },
+                layers: vec![Layer::Timed],
             },
-            StoreBackend::Cached {
-                capacity: 8,
-                inner: Box::new(StoreBackend::Sharded {
-                    shards: 2,
-                    workers: false,
-                    inner: Box::new(StoreBackend::Remote {
-                        ethernet: false,
-                        opts: RemoteOptions::default(),
-                        inner: Box::new(StoreBackend::SimInstant),
-                    }),
-                }),
+            StoreBackend {
+                base: Base::Sim { timed: false },
+                layers: vec![
+                    Layer::Sharded {
+                        shards: 2,
+                        workers: false,
+                    },
+                    Layer::Cached {
+                        capacity: 8,
+                        readahead: 0,
+                    },
+                ],
             },
-            StoreBackend::Replicated {
-                nodes: 4,
-                replicas: 2,
-                spares: 1,
-                ethernet: false,
-                opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("replicated"),
-                }),
+            StoreBackend {
+                base: Base::Sim { timed: false },
+                layers: vec![Layer::Cached {
+                    capacity: 8,
+                    readahead: 4,
+                }],
+            },
+            StoreBackend {
+                base: file("remote"),
+                layers: vec![remote.clone()],
+            },
+            StoreBackend {
+                base: Base::Sim { timed: false },
+                layers: vec![
+                    remote,
+                    Layer::Sharded {
+                        shards: 2,
+                        workers: false,
+                    },
+                    Layer::Cached {
+                        capacity: 8,
+                        readahead: 0,
+                    },
+                ],
+            },
+            StoreBackend {
+                base: file("replicated"),
+                layers: vec![Layer::Replicated {
+                    nodes: 4,
+                    replicas: 2,
+                    spares: 1,
+                    ethernet: false,
+                    opts: RemoteOptions::default(),
+                }],
             },
         ];
         for spec in backends {
@@ -1043,6 +1056,83 @@ mod tests {
             assert_eq!(store.read_block(3), block, "{}", spec.label());
             assert_eq!(store.block_count(), 16, "{}", spec.label());
             store.flush().unwrap();
+        }
+        // A stack built from its description equals the same stores
+        // composed by hand: same size, same counters after the same
+        // I/O, same files on disk.
+        const N: u64 = 16;
+        let (built_dir, hand_dir) = (dir.join("built"), dir.join("hand"));
+        type HandBuilt = Box<dyn Fn(&std::path::Path) -> Arc<dyn BlockStore>>;
+        let cases: Vec<(StoreBackend, HandBuilt)> = vec![
+            (
+                Base::Dedup {
+                    dir: Some(built_dir.clone()),
+                }
+                .into(),
+                Box::new(|dir| Arc::new(DedupStore::open(dir, N).unwrap())),
+            ),
+            (
+                StoreBackend {
+                    base: Base::Dedup { dir: None },
+                    layers: vec![Layer::Encrypted { key: [7; 32] }],
+                },
+                Box::new(|_| Arc::new(EncryptedStore::new(DedupStore::new(N), &[7; 32]))),
+            ),
+            (
+                StoreBackend {
+                    base: Base::File {
+                        dir: built_dir.clone(),
+                    },
+                    layers: vec![Layer::Encrypted { key: [8; 32] }],
+                },
+                Box::new(|dir| {
+                    Arc::new(EncryptedStore::new(
+                        FileStore::open(dir, N).unwrap(),
+                        &[8; 32],
+                    ))
+                }),
+            ),
+            (
+                StoreBackend {
+                    base: Base::Sim { timed: false },
+                    layers: vec![Layer::Cached {
+                        capacity: 8,
+                        readahead: 4,
+                    }],
+                },
+                Box::new(|_| {
+                    let clock = SimClock::new();
+                    let sim = SimStore::new(&clock, DiskModel::instant(), N);
+                    Arc::new(CachedStore::with_readahead(sim, 8, 4))
+                }),
+            ),
+        ];
+        for (spec, hand_built) in cases {
+            let label = spec.label();
+            let exercise = |store: Arc<dyn BlockStore>| {
+                let a = vec![0xA1u8; BLOCK_SIZE];
+                let b = vec![0xB2u8; BLOCK_SIZE];
+                store.write_block(1, &a);
+                store.write_block(2, &a);
+                store.write_blocks(&[(3, &b[..]), (4, &a[..])]);
+                for idx in 0..8 {
+                    store.read_block(idx);
+                }
+                store.read_blocks(&[4, 2, 9]);
+                store.flush().unwrap();
+                (store.block_count(), store.stats())
+            };
+            let built = exercise(spec.build(&clock, N));
+            let hand = exercise(hand_built(&hand_dir));
+            assert_eq!(built, hand, "{label}");
+            let (built_files, hand_files) = (files_under(&built_dir), files_under(&hand_dir));
+            let names = |files: &[(PathBuf, Vec<u8>)]| -> Vec<PathBuf> {
+                files.iter().map(|(name, _)| name.clone()).collect()
+            };
+            assert_eq!(names(&built_files), names(&hand_files), "{label}");
+            assert!(built_files == hand_files, "{label}: file contents differ");
+            std::fs::remove_dir_all(&built_dir).ok();
+            std::fs::remove_dir_all(&hand_dir).ok();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1056,30 +1146,34 @@ mod tests {
 
     #[test]
     fn subdir_rewrites_nested_persistence_dirs() {
-        let spec = StoreBackend::Cached {
-            capacity: 4,
-            inner: Box::new(StoreBackend::Sharded {
-                shards: 2,
-                workers: false,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: PathBuf::from("/tmp/vol"),
-                }),
-            }),
+        let dir = crate::file::temp_dir_for_tests("subdir");
+        let spec = StoreBackend {
+            base: Base::File { dir: dir.clone() },
+            layers: vec![
+                Layer::Sharded {
+                    shards: 2,
+                    workers: false,
+                },
+                Layer::Cached {
+                    capacity: 4,
+                    readahead: 0,
+                },
+            ],
         };
         assert!(spec.is_persistent());
-        let sub = spec.with_subdir("a");
-        match sub {
-            StoreBackend::Cached { inner, .. } => match *inner {
-                StoreBackend::Sharded { inner, .. } => match *inner {
-                    StoreBackend::FileJournal { dir } => {
-                        assert_eq!(dir, PathBuf::from("/tmp/vol/a"))
-                    }
-                    other => panic!("unexpected inner {other:?}"),
-                },
-                other => panic!("unexpected inner {other:?}"),
-            },
-            other => panic!("unexpected spec {other:?}"),
+        let store = spec.build(&SimClock::new(), 8);
+        store.flush().unwrap();
+        drop(store);
+        let mut top: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        top.sort();
+        assert_eq!(top, ["shard-0", "shard-1"]);
+        for shard in ["shard-0", "shard-1"] {
+            assert!(dir.join(shard).join("blocks.dat").is_file(), "{shard}");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

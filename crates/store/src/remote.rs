@@ -8,7 +8,7 @@
 //! node), and a [`RemoteStore`] is the client-side [`BlockStore`] that
 //! speaks to it — so dedup, encryption, caching and sharding compose
 //! over remote storage exactly as they do over local backends
-//! (`Cached { Sharded { Remote } }` is just another preset nest).
+//! (layers `[Remote, Sharded, Cached]` are just another stack).
 //!
 //! # Wire format
 //!
@@ -90,7 +90,7 @@
 //!   requires the same coordinator id.
 //! - Token `0` is the *unleased* legacy mode: while no lease has ever
 //!   been granted on a node, bare clients write freely (the
-//!   single-coordinator presets keep working unchanged). The first
+//!   single-coordinator stacks keep working unchanged). The first
 //!   grant fences them out.
 //!
 //! Lease state lives in a [`NodeLease`] shared by every serve loop
@@ -623,8 +623,8 @@ struct ServerHandle {
 /// `ReplicatedStore`'s failover, while [`RemoteStore::probe`] can
 /// revive a node whose death was only a timeout. The infallible
 /// [`BlockStore`] methods panic on a dead node — using a bare
-/// `RemoteStore` as a volume's backend (the `StoreBackend::Remote`
-/// preset) treats node death like any other fatal storage failure.
+/// `RemoteStore` as a volume's backend (a `Layer::Remote` stack)
+/// treats node death like any other fatal storage failure.
 pub struct RemoteStore {
     link: Mutex<Box<dyn Transport>>,
     next_req_id: AtomicU64,
@@ -688,20 +688,6 @@ impl RemoteStore {
         opts: RemoteOptions,
     ) -> Result<RemoteStore, RemoteError> {
         RemoteStore::connect_with_hint(link, opts, Duration::ZERO)
-    }
-
-    /// Connects over a [`netsim::Endpoint`], recording the link's
-    /// latency as the replica-ranking hint.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RemoteError`] from the length request.
-    pub fn connect_endpoint(
-        link: Endpoint,
-        opts: RemoteOptions,
-    ) -> Result<RemoteStore, RemoteError> {
-        let hint = link.link_config().latency;
-        RemoteStore::connect_with_hint(link, opts, hint)
     }
 
     fn connect_with_hint<T: Transport + 'static>(

@@ -135,7 +135,7 @@ impl ShardedStore {
     /// without worker threads (I/O runs on the caller's thread).
     ///
     /// Every shard must hold at least `ceil(block_count / N)` blocks
-    /// (the builder in [`crate::StoreBackend::Sharded`] sizes them
+    /// (the builder for [`crate::Layer::Sharded`] sizes them
     /// that way).
     ///
     /// # Panics

@@ -3,7 +3,7 @@
 //!
 //! [`SimStore`](crate::SimStore) bakes the paper's disk timing model
 //! into the in-memory backend, which meant virtual-time figures could
-//! only be produced there: `FileJournal` or `Dedup` volumes reported
+//! only be produced there: file-backed or dedup volumes reported
 //! wall time alone. [`TimedStore`] lifts the same seek/rotation/
 //! transfer model into a wrapper, so a benchmark can put *any* backend
 //! on the shared [`SimClock`] and compare backends in virtual time —

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use netsim::{LinkConfig, SimClock};
 use proptest::prelude::*;
 use store::{
-    BlockStore, CachedStore, DedupStore, EncryptedStore, FileStore, RemoteOptions, RemoteStore,
-    ReplicatedStore, ShardedStore, SimStore, StoreBackend, TimedStore, BLOCK_SIZE,
+    Base, BlockStore, CachedStore, DedupStore, EncryptedStore, FileStore, Layer, RemoteOptions,
+    RemoteStore, ReplicatedStore, ShardedStore, SimStore, StoreBackend, TimedStore, BLOCK_SIZE,
     JOURNAL_RECORD_LEN,
 };
 
@@ -151,15 +151,20 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
         ),
         (
             Box::new(
-                StoreBackend::Cached {
-                    capacity: 6,
-                    inner: Box::new(StoreBackend::Sharded {
-                        shards: 4,
-                        workers: true,
-                        inner: Box::new(StoreBackend::FileJournal {
-                            dir: dir.join("cached-sharded-workers"),
-                        }),
-                    }),
+                StoreBackend {
+                    base: Base::File {
+                        dir: dir.join("cached-sharded-workers"),
+                    },
+                    layers: vec![
+                        Layer::Sharded {
+                            shards: 4,
+                            workers: true,
+                        },
+                        Layer::Cached {
+                            capacity: 6,
+                            readahead: 0,
+                        },
+                    ],
                 }
                 .build(&clock, BLOCKS),
             ),
@@ -173,17 +178,22 @@ fn all_backends(tag: &str) -> Vec<(Box<dyn BlockStore>, Option<std::path::PathBu
         ),
         (
             Box::new(
-                StoreBackend::Cached {
-                    capacity: 6,
-                    inner: Box::new(StoreBackend::Sharded {
-                        shards: 2,
-                        workers: false,
-                        inner: Box::new(StoreBackend::Remote {
+                StoreBackend {
+                    base: Base::Sim { timed: false },
+                    layers: vec![
+                        Layer::Remote {
                             ethernet: false,
                             opts: RemoteOptions::default(),
-                            inner: Box::new(StoreBackend::SimInstant),
-                        }),
-                    }),
+                        },
+                        Layer::Sharded {
+                            shards: 2,
+                            workers: false,
+                        },
+                        Layer::Cached {
+                            capacity: 6,
+                            readahead: 0,
+                        },
+                    ],
                 }
                 .build(&clock, BLOCKS),
             ),
@@ -383,46 +393,20 @@ proptest! {
         let clock = SimClock::new();
         let dir = store::temp_dir_for_tests("props-selector");
         let specs = [
-            StoreBackend::SimTimed,
-            StoreBackend::SimInstant,
-            StoreBackend::FileJournal { dir: dir.join("file") },
-            StoreBackend::Dedup,
-            StoreBackend::DedupPersistent { dir: dir.join("dedup") },
-            StoreBackend::DedupEncrypted { key: [9; 32] },
-            StoreBackend::EncryptedJournal { dir: dir.join("enc"), key: [10; 32] },
-            StoreBackend::Cached {
-                capacity: 8,
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("cached") }),
-            },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: false,
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded") }),
-            },
-            StoreBackend::Sharded {
-                shards: 4,
-                workers: true,
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded-w") }),
-            },
-            StoreBackend::CachedReadahead {
-                capacity: 8,
-                window: 4,
-                inner: Box::new(StoreBackend::SimInstant),
-            },
-            StoreBackend::Timed { inner: Box::new(StoreBackend::Dedup) },
-            StoreBackend::Remote {
-                ethernet: false,
-                opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("remote") }),
-            },
-            StoreBackend::Replicated {
-                nodes: 4,
-                replicas: 2,
-                spares: 0,
-                ethernet: false,
-                opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::FileJournal { dir: dir.join("replicated") }),
-            },
+            StoreBackend::from(Base::Sim { timed: true }),
+            StoreBackend::from(Base::Sim { timed: false }),
+            StoreBackend::from(Base::File { dir: dir.join("file") }),
+            StoreBackend::from(Base::Dedup { dir: None }),
+            StoreBackend::from(Base::Dedup { dir: Some(dir.join("dedup")) }),
+            StoreBackend { base: Base::Dedup { dir: None }, layers: vec![Layer::Encrypted { key: [9; 32] }] },
+            StoreBackend { base: Base::File { dir: dir.join("enc") }, layers: vec![Layer::Encrypted { key: [10; 32] }] },
+            StoreBackend { base: Base::File { dir: dir.join("cached") }, layers: vec![Layer::Cached { capacity: 8, readahead: 0 }] },
+            StoreBackend { base: Base::File { dir: dir.join("sharded") }, layers: vec![Layer::Sharded { shards: 4, workers: false }] },
+            StoreBackend { base: Base::File { dir: dir.join("sharded-w") }, layers: vec![Layer::Sharded { shards: 4, workers: true }] },
+            StoreBackend { base: Base::Sim { timed: false }, layers: vec![Layer::Cached { capacity: 8, readahead: 4 }] },
+            StoreBackend { base: Base::Dedup { dir: None }, layers: vec![Layer::Timed] },
+            StoreBackend { base: Base::File { dir: dir.join("remote") }, layers: vec![Layer::Remote { ethernet: false, opts: RemoteOptions::default() }] },
+            StoreBackend { base: Base::File { dir: dir.join("replicated") }, layers: vec![Layer::Replicated { nodes: 4, replicas: 2, spares: 0, ethernet: false, opts: RemoteOptions::default() }] },
         ];
         for spec in &specs {
             let store = spec.build(&clock, BLOCKS);
@@ -539,51 +523,26 @@ proptest! {
         let clock = SimClock::new();
         let dir = store::temp_dir_for_tests("props-wrap-reopen");
         let specs = [
-            ("plain", StoreBackend::FileJournal { dir: dir.join("plain") }),
+            ("plain", StoreBackend::from(Base::File { dir: dir.join("plain") })),
             (
                 "cached",
-                StoreBackend::Cached {
-                    capacity: 6,
-                    inner: Box::new(StoreBackend::FileJournal { dir: dir.join("cached") }),
-                },
+                StoreBackend { base: Base::File { dir: dir.join("cached") }, layers: vec![Layer::Cached { capacity: 6, readahead: 0 }] },
             ),
             (
                 "sharded",
-                StoreBackend::Sharded {
-                    shards: 4,
-                    workers: false,
-                    inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded") }),
-                },
+                StoreBackend { base: Base::File { dir: dir.join("sharded") }, layers: vec![Layer::Sharded { shards: 4, workers: false }] },
             ),
             (
                 "sharded-workers",
-                StoreBackend::Sharded {
-                    shards: 4,
-                    workers: true,
-                    inner: Box::new(StoreBackend::FileJournal { dir: dir.join("sharded-w") }),
-                },
+                StoreBackend { base: Base::File { dir: dir.join("sharded-w") }, layers: vec![Layer::Sharded { shards: 4, workers: true }] },
             ),
             (
                 "cached-sharded",
-                StoreBackend::Cached {
-                    capacity: 6,
-                    inner: Box::new(StoreBackend::Sharded {
-                        shards: 3,
-                        workers: false,
-                        inner: Box::new(StoreBackend::FileJournal { dir: dir.join("both") }),
-                    }),
-                },
+                StoreBackend { base: Base::File { dir: dir.join("both") }, layers: vec![Layer::Sharded { shards: 3, workers: false }, Layer::Cached { capacity: 6, readahead: 0 }] },
             ),
             (
                 "cached-sharded-workers",
-                StoreBackend::Cached {
-                    capacity: 6,
-                    inner: Box::new(StoreBackend::Sharded {
-                        shards: 3,
-                        workers: true,
-                        inner: Box::new(StoreBackend::FileJournal { dir: dir.join("both-w") }),
-                    }),
-                },
+                StoreBackend { base: Base::File { dir: dir.join("both-w") }, layers: vec![Layer::Sharded { shards: 3, workers: true }, Layer::Cached { capacity: 6, readahead: 0 }] },
             ),
         ];
         let mut model: HashMap<u64, u8> = HashMap::new();
@@ -625,12 +584,14 @@ fn torn_vectored_write_through_workers_replays_to_a_record_prefix() {
         .map(|i| ((i * 7) % BLOCKS, (i % 13) as u8 + 1))
         .collect();
     for (name, workers) in [("workers", true), ("plain", false)] {
-        let backend = StoreBackend::Sharded {
-            shards: SHARDS as u32,
-            workers,
-            inner: Box::new(StoreBackend::FileJournal {
+        let backend = StoreBackend {
+            base: Base::File {
                 dir: base.join(name),
-            }),
+            },
+            layers: vec![Layer::Sharded {
+                shards: SHARDS as u32,
+                workers,
+            }],
         };
         let store = backend.build(&clock, BLOCKS);
         let blocks: Vec<Vec<u8>> = spec.iter().map(|(_, seed)| block_for(*seed)).collect();
@@ -970,17 +931,22 @@ fn chaos_counters_aggregate_through_wrappers() {
 #[test]
 fn wire_stats_aggregate_through_the_preset_nest() {
     let clock = SimClock::new();
-    let store = StoreBackend::Cached {
-        capacity: 8,
-        inner: Box::new(StoreBackend::Sharded {
-            shards: 2,
-            workers: false,
-            inner: Box::new(StoreBackend::Remote {
+    let store = StoreBackend {
+        base: Base::Sim { timed: false },
+        layers: vec![
+            Layer::Remote {
                 ethernet: false,
                 opts: RemoteOptions::default(),
-                inner: Box::new(StoreBackend::SimInstant),
-            }),
-        }),
+            },
+            Layer::Sharded {
+                shards: 2,
+                workers: false,
+            },
+            Layer::Cached {
+                capacity: 8,
+                readahead: 0,
+            },
+        ],
     }
     .build(&clock, BLOCKS);
     for idx in 0..BLOCKS {

@@ -1,6 +1,6 @@
 //! Distributed volume tour: a 4-node replicated block volume that
 //! survives a node death, then the same tier carrying a full DisCFS
-//! workload through the `StoreBackend::Replicated` preset.
+//! workload through a `Layer::Replicated` stack.
 //!
 //! Part one drives the block layer directly: write through a 4-node
 //! R=2 volume with a hot spare, kill a node mid-read, and watch the
@@ -19,11 +19,11 @@ use std::time::Duration;
 
 use discfs::{CredentialIssuer, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use ffs::{FsConfig, StoreBackend};
+use ffs::FsConfig;
 use netsim::{LinkConfig, SimClock};
 use store::{
-    BlockStore, NodeLease, RemoteError, RemoteOptions, RemoteStore, ReplicatedStore, SimStore,
-    BLOCK_SIZE,
+    Base, BlockStore, Layer, NodeLease, RemoteError, RemoteOptions, RemoteStore, ReplicatedStore,
+    SimStore, StoreBackend, BLOCK_SIZE,
 };
 
 const NODES: usize = 4;
@@ -206,16 +206,18 @@ fn coordinator_handoff_tour() {
 }
 
 fn discfs_on_replicated_tour(dir: &std::path::Path) {
-    println!("\n-- DisCFS on StoreBackend::Replicated (journaled file per node) --");
-    let backend = StoreBackend::Replicated {
-        nodes: 4,
-        replicas: 2,
-        spares: 1,
-        ethernet: true,
-        opts: RemoteOptions::default(),
-        inner: Box::new(StoreBackend::FileJournal {
+    println!("\n-- DisCFS on a Layer::Replicated stack (journaled file per node) --");
+    let backend = StoreBackend {
+        base: Base::File {
             dir: dir.to_path_buf(),
-        }),
+        },
+        layers: vec![Layer::Replicated {
+            nodes: 4,
+            replicas: 2,
+            spares: 1,
+            ethernet: true,
+            opts: RemoteOptions::default(),
+        }],
     };
     let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
     let bob = SigningKey::from_seed(&[0xB0; 32]);

@@ -8,9 +8,9 @@
 
 use discfs::{CredentialIssuer, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use ffs::{FsConfig, StoreBackend};
+use ffs::FsConfig;
 use netsim::LinkConfig;
-use store::{BlockStore, FileStore, BLOCK_SIZE};
+use store::{Base, BlockStore, FileStore, Layer, StoreBackend, BLOCK_SIZE};
 
 /// Writes eight identical 16 KB files through a full DisCFS stack
 /// (IKE handshake, credentials, NFS over the simulated wire) on the
@@ -54,40 +54,53 @@ fn run_workload(backend: &StoreBackend) {
 fn main() {
     println!("Eight identical 16 KB files through the full DisCFS stack:");
     let dir = std::env::temp_dir().join(format!("discfs-example-store-{}", std::process::id()));
+    let file = |name: &str| Base::File {
+        dir: dir.join(name),
+    };
     let backends = [
-        StoreBackend::SimInstant,
-        StoreBackend::FileJournal {
-            dir: dir.join("tour"),
+        Base::Sim { timed: false }.into(),
+        file("tour").into(),
+        Base::Dedup { dir: None }.into(),
+        Base::Dedup {
+            dir: Some(dir.join("tour-dedup")),
+        }
+        .into(),
+        StoreBackend {
+            base: Base::Dedup { dir: None },
+            layers: vec![Layer::Encrypted { key: [0x0D; 32] }],
         },
-        StoreBackend::Dedup,
-        StoreBackend::DedupPersistent {
-            dir: dir.join("tour-dedup"),
-        },
-        StoreBackend::DedupEncrypted { key: [0x0D; 32] },
-        StoreBackend::EncryptedJournal {
-            dir: dir.join("tour-enc"),
-            key: [0x0E; 32],
+        StoreBackend {
+            base: file("tour-enc"),
+            layers: vec![Layer::Encrypted { key: [0x0E; 32] }],
         },
         // Composable wrappers: a write-back cache, a 4-way stripe, and
         // a cache over a striped persistent volume.
-        StoreBackend::Cached {
-            capacity: 256,
-            inner: Box::new(StoreBackend::SimInstant),
+        StoreBackend {
+            base: Base::Sim { timed: false },
+            layers: vec![Layer::Cached {
+                capacity: 256,
+                readahead: 0,
+            }],
         },
-        StoreBackend::Sharded {
-            shards: 4,
-            workers: false,
-            inner: Box::new(StoreBackend::SimInstant),
-        },
-        StoreBackend::Cached {
-            capacity: 256,
-            inner: Box::new(StoreBackend::Sharded {
+        StoreBackend {
+            base: Base::Sim { timed: false },
+            layers: vec![Layer::Sharded {
                 shards: 4,
-                workers: true,
-                inner: Box::new(StoreBackend::FileJournal {
-                    dir: dir.join("tour-cached-sharded"),
-                }),
-            }),
+                workers: false,
+            }],
+        },
+        StoreBackend {
+            base: file("tour-cached-sharded"),
+            layers: vec![
+                Layer::Sharded {
+                    shards: 4,
+                    workers: true,
+                },
+                Layer::Cached {
+                    capacity: 256,
+                    readahead: 0,
+                },
+            ],
         },
     ];
     for backend in &backends {
@@ -161,9 +174,7 @@ fn main() {
     // instance *mounts* the surviving volume (Ffs::mount) — same
     // files, same file handles, same admin trust root.
     println!("\nServer reboot cycle on a persistent volume:");
-    let backend = StoreBackend::FileJournal {
-        dir: dir.join("reboot-demo"),
-    };
+    let backend = file("reboot-demo").into();
     let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
     let bob = SigningKey::from_seed(&[0xB1; 32]);
     let mut client = bed.connect(&bob).expect("connect");

@@ -20,12 +20,13 @@ use std::time::{Duration, Instant};
 
 use discfs::{CredentialIssuer, DiscfsClient, Perm, Testbed};
 use discfs_crypto::ed25519::SigningKey;
-use ffs::{FsConfig, StoreBackend};
+use ffs::FsConfig;
 use ipsec::SecureTransport;
 use netsim::LinkConfig;
 use nfsv2::proto::proc_nfs;
 use nfsv2::EngineConfig;
 use onc_rpc::{frame, Encoder, ReplyBody, RpcCall, RpcReply};
+use store::Base;
 
 fn key(seed: u8) -> SigningKey {
     SigningKey::from_seed(&[seed; 32])
@@ -66,7 +67,7 @@ fn stalled_client_sheds_its_own_load_not_neighbors() {
         FsConfig::small(),
         LinkConfig::instant(),
         128,
-        &StoreBackend::SimTimed,
+        &Base::Sim { timed: true }.into(),
         EngineConfig {
             workers: 2,
             queue_bound: QUEUE_BOUND,

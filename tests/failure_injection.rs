@@ -96,8 +96,9 @@ fn handshake_abandoned_midway_server_thread_exits() {
 
 #[test]
 fn server_reboot_under_load_preserves_synced_state() {
-    use ffs::{FsConfig, StoreBackend};
+    use ffs::FsConfig;
     use netsim::LinkConfig;
+    use store::{Base, StoreBackend};
 
     // A DisCFS server on a persistent volume: clients write through
     // the full stack, the server syncs, a client vanishes mid-write,
@@ -106,7 +107,7 @@ fn server_reboot_under_load_preserves_synced_state() {
     // deterministic admin key still able to issue credentials for
     // pre-reboot handles.
     let dir = store::temp_dir_for_tests("testbed-reboot");
-    let backend = StoreBackend::FileJournal { dir: dir.clone() };
+    let backend = StoreBackend::from(Base::File { dir: dir.clone() });
     let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
     let bob = key(2);
     let mut client = bed.connect(&bob).unwrap();
@@ -170,8 +171,9 @@ fn server_reboot_under_load_preserves_synced_state() {
 
 #[test]
 fn server_reboot_on_cached_sharded_volume_preserves_synced_state() {
-    use ffs::{FsConfig, StoreBackend};
+    use ffs::FsConfig;
     use netsim::LinkConfig;
+    use store::{Base, Layer, StoreBackend};
 
     // The same reboot cycle over the composed storage stack: a
     // write-back buffer cache on top of a volume striped across four
@@ -182,13 +184,18 @@ fn server_reboot_on_cached_sharded_volume_preserves_synced_state() {
     let dir = store::temp_dir_for_tests("testbed-reboot-wrapped");
     // Workers on: the reboot cycle must also join the per-shard worker
     // threads cleanly before the volume reopens.
-    let backend = StoreBackend::Cached {
-        capacity: 256,
-        inner: Box::new(StoreBackend::Sharded {
-            shards: 4,
-            workers: true,
-            inner: Box::new(StoreBackend::FileJournal { dir: dir.clone() }),
-        }),
+    let backend = StoreBackend {
+        base: Base::File { dir: dir.clone() },
+        layers: vec![
+            Layer::Sharded {
+                shards: 4,
+                workers: true,
+            },
+            Layer::Cached {
+                capacity: 256,
+                readahead: 0,
+            },
+        ],
     };
     let bed = Testbed::with_backend(FsConfig::small(), LinkConfig::instant(), 128, &backend);
     let bob = key(2);
